@@ -536,10 +536,10 @@ mod tests {
         use vflash_sim::{ArrivalDiscipline, FtlKind, GridCell, ReplayMode};
         use vflash_trace::synthetic::ArrivalModel;
 
-        let mut fanout = LatencyPercentiles::default();
-        fanout.p999 = Nanos::from_micros(900);
-        let mut stripe = LatencyPercentiles::default();
-        stripe.p999 = Nanos::from_micros(300);
+        let fanout =
+            LatencyPercentiles { p999: Nanos::from_micros(900), ..LatencyPercentiles::default() };
+        let stripe =
+            LatencyPercentiles { p999: Nanos::from_micros(300), ..LatencyPercentiles::default() };
         let rows = vec![FleetCellResult {
             cell: GridCell {
                 index: 0,

@@ -884,7 +884,7 @@ mod tests {
         let logical = ftl.logical_pages();
         let mut writes = 0u64;
         loop {
-            let size = if writes % 2 == 0 { 512 } else { 64 * 1024 };
+            let size = if writes.is_multiple_of(2) { 512 } else { 64 * 1024 };
             match ftl.write(Lpn(writes % logical), size) {
                 Ok(_) => writes += 1,
                 Err(FtlError::ReadOnly) => break,

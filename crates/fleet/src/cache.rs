@@ -27,9 +27,9 @@
 //! but it tracks residency and dirtiness exactly, which is all the timing
 //! model needs.
 
-use std::collections::{BTreeMap, HashMap};
-
+use vflash_ftl::Lpn;
 use vflash_nand::Nanos;
+use vflash_ppb::LruList;
 
 /// Tunables of the [`WritebackCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,7 +65,8 @@ impl CacheConfig {
         (self.dirty_flush_threshold * self.capacity_pages as f64).floor() as usize
     }
 
-    fn validate(&self) {
+    /// Panics on a zero capacity or a dirty threshold outside `(0, 1]`.
+    pub(crate) fn validate(&self) {
         assert!(self.capacity_pages > 0, "cache capacity must be at least one page");
         assert!(
             self.dirty_flush_threshold > 0.0 && self.dirty_flush_threshold <= 1.0,
@@ -109,17 +110,14 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    stamp: u64,
-    dirty: bool,
-}
-
 /// An LRU write-back, write-allocate page cache over fleet LPNs.
 ///
-/// Recency is tracked with monotonically increasing touch stamps (a
-/// `BTreeMap` keyed by stamp gives deterministic LRU order with no unordered
-/// iteration anywhere), so every run is bit-reproducible.
+/// Recency lives in two linked LRU lists: `resident` holds every cached page
+/// and `dirty` the dirty subset. Every touch moves a page to the
+/// most-recent end of both lists, so the dirty list is always the resident
+/// order restricted to dirty pages: a flush pops it from the least-recent end
+/// in O(1) per page without walking past clean pages. Neither list is ever
+/// iterated in hash order, so every run is bit-reproducible.
 ///
 /// # Example
 ///
@@ -140,10 +138,8 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct WritebackCache {
     config: CacheConfig,
-    entries: HashMap<u64, Entry>,
-    lru: BTreeMap<u64, u64>,
-    dirty: usize,
-    next_stamp: u64,
+    resident: LruList,
+    dirty: LruList,
     stats: CacheStats,
 }
 
@@ -157,10 +153,8 @@ impl WritebackCache {
         config.validate();
         WritebackCache {
             config,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            dirty: 0,
-            next_stamp: 0,
+            resident: LruList::new(config.capacity_pages),
+            dirty: LruList::new(config.capacity_pages),
             stats: CacheStats::default(),
         }
     }
@@ -177,47 +171,39 @@ impl WritebackCache {
 
     /// Resident pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.resident.len()
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.resident.is_empty()
     }
 
     /// Resident dirty pages.
     pub fn dirty_len(&self) -> usize {
-        self.dirty
+        self.dirty.len()
     }
 
     /// Whether `lpn` is resident (dirty or clean).
     pub fn is_resident(&self, lpn: u64) -> bool {
-        self.entries.contains_key(&lpn)
+        self.resident.contains(Lpn(lpn))
     }
 
     /// Whether `lpn` is resident and dirty.
     pub fn is_dirty(&self, lpn: u64) -> bool {
-        self.entries.get(&lpn).is_some_and(|entry| entry.dirty)
+        self.dirty.contains(Lpn(lpn))
     }
 
     /// Whether the dirty set exceeds the flush threshold.
     pub fn over_threshold(&self) -> bool {
-        self.dirty > self.config.dirty_limit()
-    }
-
-    fn touch(&mut self, lpn: u64) {
-        let entry = self.entries.get_mut(&lpn).expect("touching a non-resident page");
-        self.lru.remove(&entry.stamp);
-        entry.stamp = self.next_stamp;
-        self.lru.insert(self.next_stamp, lpn);
-        self.next_stamp += 1;
+        self.dirty.len() > self.config.dirty_limit()
     }
 
     /// Looks `lpn` up for a host read. A hit refreshes recency and returns
     /// `true`; a miss returns `false` and does **not** allocate.
     pub fn read(&mut self, lpn: u64) -> bool {
-        if self.entries.contains_key(&lpn) {
-            self.touch(lpn);
+        if self.resident.touch(Lpn(lpn)) {
+            self.dirty.touch(Lpn(lpn));
             self.stats.read_hits += 1;
             true
         } else {
@@ -231,28 +217,14 @@ impl WritebackCache {
     /// the caller must write them back to the devices.
     pub fn write(&mut self, lpn: u64) -> Vec<u64> {
         self.stats.writes_absorbed += 1;
-        if let Some(entry) = self.entries.get_mut(&lpn) {
-            if !entry.dirty {
-                entry.dirty = true;
-                self.dirty += 1;
-            }
-            self.touch(lpn);
-            return Vec::new();
-        }
         let mut writeback = Vec::new();
-        if self.entries.len() == self.config.capacity_pages {
-            let (_, victim) = self.lru.pop_first().expect("a full cache has an LRU entry");
-            let entry = self.entries.remove(&victim).expect("LRU entry is resident");
-            if entry.dirty {
-                self.dirty -= 1;
+        if let Some(victim) = self.resident.insert(Lpn(lpn)) {
+            if self.dirty.remove(victim) {
                 self.stats.writebacks += 1;
-                writeback.push(victim);
+                writeback.push(victim.0);
             }
         }
-        self.entries.insert(lpn, Entry { stamp: self.next_stamp, dirty: true });
-        self.lru.insert(self.next_stamp, lpn);
-        self.next_stamp += 1;
-        self.dirty += 1;
+        self.dirty.insert(Lpn(lpn));
         writeback
     }
 
@@ -262,12 +234,8 @@ impl WritebackCache {
     /// exact without a spurious writeback.
     pub fn write_around(&mut self, lpn: u64) {
         self.stats.write_arounds += 1;
-        if let Some(entry) = self.entries.remove(&lpn) {
-            self.lru.remove(&entry.stamp);
-            if entry.dirty {
-                self.dirty -= 1;
-            }
-        }
+        self.resident.remove(Lpn(lpn));
+        self.dirty.remove(Lpn(lpn));
     }
 
     /// Drains dirty pages, least-recently-used first, until the dirty count is
@@ -279,23 +247,10 @@ impl WritebackCache {
             return Vec::new();
         }
         self.stats.flushes += 1;
-        let limit = self.config.dirty_limit();
-        let mut flushed = Vec::new();
-        // BTreeMap iteration is stamp order — oldest (LRU) first.
-        let stamps: Vec<u64> = self.lru.keys().copied().collect();
-        for stamp in stamps {
-            if self.dirty <= limit {
-                break;
-            }
-            let lpn = self.lru[&stamp];
-            let entry = self.entries.get_mut(&lpn).expect("LRU entry is resident");
-            if entry.dirty {
-                entry.dirty = false;
-                self.dirty -= 1;
-                self.stats.writebacks += 1;
-                flushed.push(lpn);
-            }
-        }
+        let excess = self.dirty.len() - self.config.dirty_limit();
+        let flushed: Vec<u64> =
+            (0..excess).map_while(|_| self.dirty.pop_least_recent()).map(|Lpn(lpn)| lpn).collect();
+        self.stats.writebacks += flushed.len() as u64;
         flushed
     }
 }
@@ -366,6 +321,25 @@ mod tests {
         assert!(c.is_resident(10) && !c.is_dirty(10), "flushed pages stay resident, clean");
         assert!(c.flush_to_threshold().is_empty(), "at the threshold nothing more drains");
         assert_eq!(c.stats().flushes, 1);
+    }
+
+    #[test]
+    fn flush_skips_clean_lru_pages_and_follows_dirty_recency() {
+        let mut c = cache(8, 0.25); // dirty limit = 2
+        for lpn in 1..=8 {
+            c.write(lpn);
+        }
+        assert_eq!(c.flush_to_threshold(), vec![1, 2, 3, 4, 5, 6]);
+        // Clean pages 1, 3, 5, 6 now sit at the LRU front; dirty 2 and 4 anew,
+        // then a read hit moves dirty 7 behind them.
+        c.write(2);
+        c.write(4);
+        assert!(c.read(7));
+        assert_eq!(c.dirty_len(), 4);
+        assert_eq!(c.flush_to_threshold(), vec![8, 2], "oldest dirty pages, in recency order");
+        assert!(c.is_dirty(4) && c.is_dirty(7));
+        assert!(c.write(9).is_empty(), "the LRU page (1) is clean, so evicting it writes nothing");
+        assert!(!c.is_resident(1));
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl<F: FlashTranslationLayer> Fleet<F> {
         }
         if let Some(cache) = &config.cache {
             // Validate eagerly so a bad config fails at assembly, not mid-run.
-            let _ = WritebackCache::new(*cache);
+            cache.validate();
         }
         let stripe = StripeMap::new(lanes.len(), lane_pages);
         Fleet { lanes, config, stripe }

@@ -47,9 +47,11 @@ pub mod workload;
 pub use error::KvError;
 pub use flash_file::{Extent, FlashStore, SegmentFile, StoreIoStats, SUPERBLOCK_LPN};
 pub use memtable::Memtable;
-pub use sstable::{BloomFilter, Entry, TableHandle, TableMeta, TableOptions, TableProbe};
+pub use sstable::{
+    BloomFilter, Entry, TableHandle, TableMeta, TableOptions, TableProbe, TableValue,
+};
 pub use store::{
-    KvConfig, KvStats, KvStore, Lookup, LookupSource, TableLayout, WriteAmplification,
+    KvConfig, KvPair, KvStats, KvStore, Lookup, LookupSource, TableLayout, WriteAmplification,
     WriteReceipt,
 };
 pub use wal::{Wal, WalOp};

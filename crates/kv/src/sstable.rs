@@ -61,6 +61,10 @@ const FLAG_TOMBSTONE: u8 = 1;
 /// A table entry: a value or a tombstone.
 pub type Entry = (Vec<u8>, Option<Vec<u8>>);
 
+/// A table's answer for one key: `Some(Some(value))` for a put, `Some(None)`
+/// for a tombstone, `None` when the table does not hold the key.
+pub type TableValue = Option<Option<Vec<u8>>>;
+
 /// A split-block bloom filter over the table's keys (double hashing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -308,7 +312,7 @@ impl TableHandle {
         &self,
         store: &mut FlashStore<F>,
         key: &[u8],
-    ) -> Result<(Option<Option<Vec<u8>>>, TableProbe), KvError> {
+    ) -> Result<(TableValue, TableProbe), KvError> {
         if key < self.meta.min_key.as_slice() || key > self.meta.max_key.as_slice() {
             return Ok((None, TableProbe::RangeSkip));
         }
@@ -320,7 +324,7 @@ impl TableHandle {
         };
         let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
         let mut at = 0usize;
-        while let Some((entry_key, value, consumed)) = decode_entry(&bytes, at)? {
+        while let Some(((entry_key, value), consumed)) = decode_entry(&bytes, at)? {
             if entry_key == key {
                 return Ok((Some(value), TableProbe::Read));
             }
@@ -345,7 +349,7 @@ impl TableHandle {
         let bytes = store.read_range(&self.meta.file, 0, self.meta.data_len as usize)?;
         let mut out = Vec::with_capacity(self.meta.entries as usize);
         let mut at = 0usize;
-        while let Some((key, value, consumed)) = decode_entry(&bytes, at)? {
+        while let Some(((key, value), consumed)) = decode_entry(&bytes, at)? {
             out.push((key, value));
             at += consumed;
         }
@@ -379,7 +383,7 @@ impl TableHandle {
                 .map_or(self.meta.data_len, |(_, next)| *next);
             let bytes = store.read_range(&self.meta.file, offset, (end - offset) as usize)?;
             let mut at = 0usize;
-            while let Some((key, value, consumed)) = decode_entry(&bytes, at)? {
+            while let Some(((key, value), consumed)) = decode_entry(&bytes, at)? {
                 at += consumed;
                 if key.as_slice() >= hi {
                     break 'buckets;
@@ -397,7 +401,7 @@ impl TableHandle {
 
 /// Decodes the data-section entry at `bytes[at..]`; `Ok(None)` at the exact end
 /// of the buffer.
-fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(Vec<u8>, Option<Vec<u8>>, usize)>, KvError> {
+fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(Entry, usize)>, KvError> {
     if at == bytes.len() {
         return Ok(None);
     }
@@ -416,7 +420,7 @@ fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(Vec<u8>, Option<Vec<u
     let key = rest[7..7 + klen].to_vec();
     let value =
         (flag == FLAG_VALUE).then(|| rest[7 + klen..total].to_vec());
-    Ok(Some((key, value, total)))
+    Ok(Some(((key, value), total)))
 }
 
 #[cfg(test)]

@@ -161,6 +161,9 @@ pub enum LookupSource {
     Miss,
 }
 
+/// A live key and its value, as [`KvStore::scan`] returns them.
+pub type KvPair = (Vec<u8>, Vec<u8>);
+
 /// The result of a get: the value (if any), where the lookup terminated, and
 /// the device time it cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -443,7 +446,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     /// # Errors
     ///
     /// Read and decode errors pass through.
-    pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
+    pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<KvPair>, KvError> {
         self.stats.scans += 1;
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         let KvStore { store, levels, memtable, .. } = self;

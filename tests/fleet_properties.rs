@@ -246,7 +246,7 @@ fn fleet_grid_is_bit_identical_across_worker_counts() {
 
 /// A cached, multi-tenant fleet is just as deterministic: two identically
 /// built fleets replaying the same trace report the bit-identical summary
-/// (the cache's LRU is stamp-ordered, never hash-ordered).
+/// (the cache keeps two linked recency lists, never iterated in hash order).
 #[test]
 fn cached_multi_tenant_runs_are_bit_reproducible() {
     let lane = || {
