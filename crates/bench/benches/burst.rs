@@ -15,10 +15,8 @@
 //! finishes in seconds.
 
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
-use vflash_sim::experiments::{
-    burst_axis, burst_sweep_mean_iops, run_conventional_driven, ExperimentScale, Workload,
-};
-use vflash_sim::ArrivalDiscipline;
+use vflash_sim::experiments::{burst_axis, burst_sweep_mean_iops, run, ExperimentScale, Workload};
+use vflash_sim::{ArrivalDiscipline, FtlKind};
 
 fn scale() -> ExperimentScale {
     let mut scale = ExperimentScale { chips: 8, ..ExperimentScale::quick() };
@@ -43,14 +41,12 @@ fn burst(c: &mut Criterion) {
     let mut curve = Vec::new();
     for arrival in burst_axis(mean_iops) {
         let trace = Workload::WebSqlServer.trace_with_arrival(&scale, arrival);
+        let replay =
+            || run(FtlKind::Conventional, &trace, &config, discipline).expect("replay runs");
         group.bench_function(arrival.label(), |b| {
-            b.iter(|| {
-                let summary =
-                    run_conventional_driven(&trace, &config, discipline).expect("replay runs");
-                std::hint::black_box(summary.read_latency.p999)
-            });
+            b.iter(|| std::hint::black_box(replay().read_latency.p999));
         });
-        let summary = run_conventional_driven(&trace, &config, discipline).expect("replay runs");
+        let summary = replay();
         curve.push((
             arrival.label(),
             summary.read_latency.p999,

@@ -16,10 +16,8 @@
 //! finishes in seconds.
 
 use criterion::{criterion_group, criterion_main, smoke_mode, Criterion};
-use vflash_sim::experiments::{
-    run_conventional_driven, ExperimentScale, Workload, RATE_SCALES,
-};
-use vflash_sim::ArrivalDiscipline;
+use vflash_sim::experiments::{run, ExperimentScale, Workload, RATE_SCALES};
+use vflash_sim::{ArrivalDiscipline, FtlKind};
 
 fn scale() -> ExperimentScale {
     let mut scale = ExperimentScale { chips: 8, ..ExperimentScale::quick() };
@@ -42,14 +40,12 @@ fn open_loop(c: &mut Criterion) {
     let mut curve = Vec::new();
     for &rate_scale in &RATE_SCALES {
         let discipline = ArrivalDiscipline::OpenLoop { rate_scale };
+        let replay =
+            || run(FtlKind::Conventional, &trace, &config, discipline).expect("replay runs");
         group.bench_function(format!("rate{rate_scale}"), |b| {
-            b.iter(|| {
-                let summary =
-                    run_conventional_driven(&trace, &config, discipline).expect("replay runs");
-                std::hint::black_box(summary.request_iops())
-            });
+            b.iter(|| std::hint::black_box(replay().request_iops()));
         });
-        let summary = run_conventional_driven(&trace, &config, discipline).expect("replay runs");
+        let summary = replay();
         curve.push((
             rate_scale,
             summary.offered_iops(),

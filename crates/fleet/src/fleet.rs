@@ -1,31 +1,28 @@
-//! The fleet and its driver: one drive loop replaying a trace against N
-//! devices on a shared virtual clock.
+//! The fleet and its driver: N devices replayed on the engine's drive loop
+//! against a shared virtual clock.
 //!
-//! # Clock sharing
+//! # One loop
 //!
-//! The fleet reuses the single-device engine's event model wholesale. One
-//! fleet-level completion calendar (a binary heap of host-completion instants)
-//! carries the arrival discipline — closed-loop slot waits and open-loop
-//! arrival retirement work exactly as in `vflash-sim`'s `EventCalendar` — while
-//! each lane keeps its own per-chip ready clocks
-//! ([`ChipClocks`](vflash_nand::ChipClocks), the same type the engine's
-//! calendar wraps). A multi-page host request splits into per-lane stripe
-//! chains: pages on the same lane serialise (a dependent chain against that
-//! lane's chips), stripes on different lanes run in parallel, and the request
+//! The fleet has no drive loop of its own. [`FleetDriver`] hands its lanes and
+//! its [`StripeMap`] to [`WorkloadDriver::run_lanes`] — the loop every
+//! single-device replay runs — together with a [`HostTier`] hook holding the
+//! writeback cache, the tenant dispatch order and the fan-out, stripe and
+//! tenant histograms. The engine owns the completion calendar that carries
+//! the arrival discipline, each lane's per-chip ready clocks
+//! ([`ChipClocks`](vflash_nand::ChipClocks)) and the per-lane stripe chains:
+//! pages on the same lane serialise (a dependent chain against that lane's
+//! chips), stripes on different lanes run in parallel, and the request
 //! completes at the **max over its stripes** — which is where fan-out tail
 //! amplification comes from.
 //!
 //! # The fleet-of-1 guarantee
 //!
 //! A 1-wide fleet with the cache disabled and a single tenant reproduces the
-//! single-device [`WorkloadDriver`](vflash_sim::WorkloadDriver) **bit-for-bit** — same per-lane
-//! [`RunSummary`], same device state — on both FTLs and every discipline. The
-//! stripe map at width 1 is the identity, the per-request stripe chain is then
-//! the engine's single dependent chain, and the fleet calendar sees exactly
-//! the issue/completion instants the engine's calendar would (at closed-loop
-//! depth 1 the calendar degenerates to the engine's scalar clock: it drains
-//! fully at every arrival, so peak backlog 1 and zero busy arrivals fall out
-//! by construction). `tests/fleet_equivalence.rs` pins this down.
+//! single-device [`WorkloadDriver`] **bit-for-bit** — same per-lane
+//! [`RunSummary`], same device state — on both FTLs and every discipline, by
+//! construction: the stripe map at width 1 is the identity and both drivers
+//! run the same loop. `tests/fleet_equivalence.rs` pins this down, and also
+//! pins the fleet against a verbatim copy of the loop the fleet kept before.
 //!
 //! # Cache and writebacks
 //!
@@ -38,9 +35,11 @@
 //! ready clock), so heavy writeback backlogs surface as queueing delay on
 //! later requests — the classic destaging effect.
 
-use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
-use vflash_nand::{ChipClocks, ChipId, Nanos};
-use vflash_sim::{ArrivalDiscipline, LatencyHistogram, ReplayMode, RunOptions, RunSummary};
+use std::fmt;
+
+use vflash_ftl::{FlashTranslationLayer, FtlError};
+use vflash_nand::Nanos;
+use vflash_sim::{ArrivalDiscipline, HostTier, Lanes, LatencyHistogram, RunOptions, WorkloadDriver};
 use vflash_trace::{IoOp, Trace};
 
 use crate::cache::{CacheConfig, WritebackCache};
@@ -174,125 +173,133 @@ impl<F: FlashTranslationLayer> Fleet<F> {
     }
 }
 
-/// Replicates `ArrivalDiscipline::needs_op_tracing` (private to the engine):
-/// closed-loop depth 1 degenerates to serial accumulation where per-op
-/// provenance is pure overhead.
-fn needs_op_tracing(discipline: ArrivalDiscipline) -> bool {
-    match discipline {
-        ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth > 1,
-        ArrivalDiscipline::OpenLoop { .. } => true,
+/// The fleet's lanes as the engine sees them: striped round-robin.
+struct Striped<'a, F> {
+    lanes: &'a mut [F],
+    stripe: StripeMap,
+}
+
+impl<F: FlashTranslationLayer> Lanes for Striped<'_, F> {
+    type Ftl = F;
+
+    fn width(&self) -> usize {
+        self.lanes.len()
+    }
+
+    fn lane(&self, index: usize) -> &F {
+        &self.lanes[index]
+    }
+
+    fn lane_mut(&mut self, index: usize) -> &mut F {
+        &mut self.lanes[index]
+    }
+
+    fn locate(&self, page: u64) -> (usize, u64) {
+        self.stripe.locate(page)
     }
 }
 
-/// Replicates the engine's arrival scaling: exact at unit rate, rounded
-/// otherwise.
-fn scale_arrival(at_nanos: u64, rate_scale: f64) -> Nanos {
-    if rate_scale == 1.0 {
-        Nanos(at_nanos)
-    } else {
-        Nanos((at_nanos as f64 / rate_scale).round() as u64)
-    }
+/// The fleet's host tier on the engine's loop: the writeback cache, the
+/// tenants' weighted-share dispatch, and the histograms only the host sees.
+struct FleetHost {
+    cache: Option<WritebackCache>,
+    tenants: Vec<TenantWeight>,
+    fanout_read: LatencyHistogram,
+    fanout_write: LatencyHistogram,
+    stripe_read: LatencyHistogram,
+    stripe_write: LatencyHistogram,
+    tenant_latencies: Vec<LatencyHistogram>,
+    tenant_requests: Vec<u64>,
+    tenant_last: Vec<Nanos>,
 }
 
-/// A word-packed page bitmap for the per-lane prefill pass (one bit per
-/// device-local page, iterated in ascending order — the engine's warm-up
-/// order).
-struct PageBitmap {
-    words: Vec<u64>,
-}
-
-impl PageBitmap {
-    fn new(pages: u64) -> Self {
-        PageBitmap { words: vec![0; (pages as usize).div_ceil(64)] }
-    }
-
-    fn set(&mut self, page: u64) {
-        self.words[(page / 64) as usize] |= 1 << (page % 64);
-    }
-
-    fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(word_index, &word)| {
-            let base = word_index as u64 * 64;
-            (0..64).filter(move |bit| word & (1u64 << bit) != 0).map(move |bit| base + bit)
-        })
-    }
-}
-
-/// The fleet-level completion calendar: a faithful replica of the engine's
-/// `EventCalendar` host-completion heap (that type is crate-private to
-/// `vflash-sim`), minus the per-chip clocks, which live per lane here.
-struct CompletionCalendar {
-    events: std::collections::BinaryHeap<std::cmp::Reverse<Nanos>>,
-    peak_outstanding: usize,
-    busy_arrivals: u64,
-}
-
-impl CompletionCalendar {
-    fn new(capacity: usize) -> Self {
-        CompletionCalendar {
-            events: std::collections::BinaryHeap::with_capacity(capacity),
-            peak_outstanding: 0,
-            busy_arrivals: 0,
-        }
-    }
-
-    fn outstanding(&self) -> usize {
-        self.events.len()
-    }
-
-    fn pop_earliest(&mut self) -> Option<Nanos> {
-        self.events.pop().map(|std::cmp::Reverse(at)| at)
-    }
-
-    fn observe_arrival(&mut self, issue: Nanos) {
-        while self.events.peek().is_some_and(|&std::cmp::Reverse(at)| at <= issue) {
-            self.events.pop();
-        }
-        if !self.events.is_empty() {
-            self.busy_arrivals += 1;
-        }
-    }
-
-    fn schedule_completion(&mut self, at: Nanos) {
-        self.events.push(std::cmp::Reverse(at));
-        if self.events.len() > self.peak_outstanding {
-            self.peak_outstanding = self.events.len();
+impl FleetHost {
+    fn new(config: &FleetConfig) -> Self {
+        let tenants = config.tenants.len();
+        FleetHost {
+            cache: config.cache.map(WritebackCache::new),
+            tenants: config.tenants.clone(),
+            fanout_read: LatencyHistogram::new(),
+            fanout_write: LatencyHistogram::new(),
+            stripe_read: LatencyHistogram::new(),
+            stripe_write: LatencyHistogram::new(),
+            tenant_latencies: (0..tenants).map(|_| LatencyHistogram::new()).collect(),
+            tenant_requests: vec![0; tenants],
+            tenant_last: vec![Nanos::ZERO; tenants],
         }
     }
 }
 
-/// Per-lane accumulators of the drive loop.
-struct LaneState {
-    chips: ChipClocks,
-    /// Untraced (closed-loop depth 1) device-level ready clock: carries the
-    /// writeback backlog when op tracing is off.
-    ready: Nanos,
-    read_latencies: LatencyHistogram,
-    write_latencies: LatencyHistogram,
-    queue_delays: LatencyHistogram,
-    service_times: LatencyHistogram,
-    requests: u64,
-    last_completion: Nanos,
-    first_arrival: Option<Nanos>,
-    last_arrival: Nanos,
-}
+impl HostTier for FleetHost {
+    /// Closed loop with several tenants dispatches via weighted-share QoS over
+    /// per-tenant FIFOs (one tenant replays the trace in order).
+    fn dispatch_order(&self, requests: usize) -> Option<Vec<usize>> {
+        Some(dispatch_order(&self.tenants, requests))
+    }
 
-/// Per-request scratch for one lane's stripe chain.
-#[derive(Clone, Copy)]
-struct StripeChain {
-    start: Nanos,
-    now: Nanos,
-    service: Nanos,
+    /// Read hits and absorbed writes never reach a device; write-arounds
+    /// invalidate the cached copy and fall through.
+    fn serve_page(
+        &mut self,
+        op: IoOp,
+        request_bytes: u32,
+        page: u64,
+        writebacks: &mut Vec<u64>,
+    ) -> Option<Nanos> {
+        let cache = self.cache.as_mut()?;
+        let config = *cache.config();
+        match op {
+            IoOp::Read => cache.read(page).then_some(config.hit_latency),
+            IoOp::Write if request_bytes < config.write_around_bytes => {
+                writebacks.extend(cache.write(page));
+                writebacks.extend(cache.flush_to_threshold());
+                Some(config.hit_latency)
+            }
+            IoOp::Write => {
+                cache.write_around(page);
+                None
+            }
+        }
+    }
+
+    fn stripe_done(&mut self, op: IoOp, latency: Nanos) {
+        match op {
+            IoOp::Read => self.stripe_read.record(latency),
+            IoOp::Write => self.stripe_write.record(latency),
+        }
+    }
+
+    /// Request `i` of the trace belongs to tenant `i % tenants`.
+    fn request_done(&mut self, index: usize, op: IoOp, latency: Nanos, completion: Nanos) {
+        match op {
+            IoOp::Read => self.fanout_read.record(latency),
+            IoOp::Write => self.fanout_write.record(latency),
+        }
+        let tenant = index % self.tenants.len();
+        self.tenant_latencies[tenant].record(latency);
+        self.tenant_requests[tenant] += 1;
+        if completion > self.tenant_last[tenant] {
+            self.tenant_last[tenant] = completion;
+        }
+    }
 }
 
 /// The fleet workload driver: replays a [`Trace`] against a [`Fleet`] under
 /// the engine's [`ArrivalDiscipline`]s and reports a [`FleetSummary`].
 ///
-/// Construction mirrors [`WorkloadDriver`](vflash_sim::WorkloadDriver) exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Construction mirrors [`WorkloadDriver`] exactly.
+#[derive(Clone, Copy, PartialEq)]
 pub struct FleetDriver {
-    options: RunOptions,
-    discipline: ArrivalDiscipline,
+    driver: WorkloadDriver,
+}
+
+impl fmt::Debug for FleetDriver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FleetDriver")
+            .field("options", self.driver.options())
+            .field("discipline", &self.driver.discipline())
+            .finish()
+    }
 }
 
 impl FleetDriver {
@@ -301,11 +308,10 @@ impl FleetDriver {
     /// # Panics
     ///
     /// Panics on a zero queue depth or a non-positive/non-finite rate scale
-    /// (via [`WorkloadDriver::new`](vflash_sim::WorkloadDriver::new)'s validation, which this reuses).
+    /// (the validation of [`WorkloadDriver::new`], which builds the driver this
+    /// one runs on).
     pub fn new(options: RunOptions, discipline: ArrivalDiscipline) -> Self {
-        // Reuse the engine's validation so both drivers reject the same inputs.
-        let _ = vflash_sim::WorkloadDriver::new(options, discipline);
-        FleetDriver { options, discipline }
+        FleetDriver { driver: WorkloadDriver::new(options, discipline) }
     }
 
     /// A closed-loop (saturation) driver at the given queue depth.
@@ -320,19 +326,19 @@ impl FleetDriver {
 
     /// The replay options.
     pub fn options(&self) -> &RunOptions {
-        &self.options
+        self.driver.options()
     }
 
     /// The arrival discipline.
     pub fn discipline(&self) -> ArrivalDiscipline {
-        self.discipline
+        self.driver.discipline()
     }
 
     /// Replays `trace` against `fleet`, consuming it.
     ///
     /// # Errors
     ///
-    /// Propagates FTL errors from any lane; see [`WorkloadDriver::run`](vflash_sim::WorkloadDriver::run).
+    /// Propagates FTL errors from any lane; see [`WorkloadDriver::run`].
     pub fn run<F: FlashTranslationLayer>(
         &self,
         mut fleet: Fleet<F>,
@@ -352,448 +358,41 @@ impl FleetDriver {
         fleet: &mut Fleet<F>,
         trace: &Trace,
     ) -> Result<FleetSummary, FtlError> {
-        let page_size = fleet.lanes[0].device().config().page_size_bytes();
-        let stripe = fleet.stripe;
-
-        // The warm-up mirrors the engine's: serial, tracing off, skipped for
-        // read-free traces, ascending device-page order per lane.
-        if self.options.prefill && trace.iter().any(|request| request.op == IoOp::Read) {
-            let mut touched: Vec<PageBitmap> =
-                (0..stripe.width()).map(|_| PageBitmap::new(stripe.lane_pages())).collect();
-            for request in trace {
-                for page in request.logical_pages(page_size) {
-                    let (lane, offset) = stripe.locate(page % stripe.fleet_pages());
-                    touched[lane].set(offset);
-                }
-            }
-            for (lane, bitmap) in fleet.lanes.iter_mut().zip(&touched) {
-                for offset in bitmap.iter_set() {
-                    lane.write(Lpn(offset), self.options.prefill_request_bytes)?;
-                }
-            }
-        }
-
-        let trace_ops = needs_op_tracing(self.discipline);
-        if trace_ops {
-            for lane in &mut fleet.lanes {
-                lane.device_mut().set_op_tracing(true);
-            }
-        }
-        let outcome = self.drive(fleet, trace, page_size);
-        if trace_ops {
-            for lane in &mut fleet.lanes {
-                lane.device_mut().set_op_tracing(false);
-            }
-        }
-        outcome
-    }
-
-    /// Submits one logical page to its lane and advances that lane's stripe
-    /// chain. Returns `Ok(false)` when the page was skipped (unmapped read with
-    /// prefill off — the engine's rule).
-    #[allow(clippy::too_many_arguments)]
-    fn play_page<F: FlashTranslationLayer>(
-        &self,
-        lane: &mut F,
-        state: &mut LaneState,
-        chain: &mut StripeChain,
-        op: IoOp,
-        offset: u64,
-        request_bytes: u32,
-        trace_ops: bool,
-    ) -> Result<bool, FtlError> {
-        let completion = match op {
-            IoOp::Write => lane.submit(FtlRequest::write(Lpn(offset), request_bytes))?,
-            IoOp::Read => match lane.submit(FtlRequest::read(Lpn(offset))) {
-                Ok(completion) => completion,
-                Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => return Ok(false),
-                Err(err) => return Err(err),
-            },
-        };
-        let span = completion.ops;
-        if !trace_ops || span.is_empty() {
-            chain.now += completion.latency;
-            chain.service += completion.latency;
-        } else {
-            for op in lane.device().ops(span) {
-                chain.now = state.chips.play_op(op.chip.0, chain.now, op.latency);
-                chain.service += op.latency;
-            }
-            lane.device_mut().clear_ops();
-        }
-        Ok(true)
-    }
-
-    /// Plays one background writeback on its owner lane: the write chains from
-    /// `issue` against the lane's chips (traced) or bumps the lane-level ready
-    /// clock (untraced). Never extends the triggering request's latency.
-    fn play_writeback<F: FlashTranslationLayer>(
-        lane: &mut F,
-        state: &mut LaneState,
-        issue: Nanos,
-        offset: u64,
-        page_size: usize,
-        trace_ops: bool,
-    ) -> Result<(), FtlError> {
-        let completion = lane.submit(FtlRequest::write(Lpn(offset), page_size as u32))?;
-        let span = completion.ops;
-        if !trace_ops || span.is_empty() {
-            state.ready = state.ready.max(issue) + completion.latency;
-        } else {
-            let mut now = issue;
-            for op in lane.device().ops(span) {
-                now = state.chips.play_op(op.chip.0, now, op.latency);
-            }
-            lane.device_mut().clear_ops();
-        }
-        Ok(())
-    }
-
-    /// The drive loop: issue → retire → fan out over stripe chains → schedule,
-    /// against one fleet-level completion calendar.
-    fn drive<F: FlashTranslationLayer>(
-        &self,
-        fleet: &mut Fleet<F>,
-        trace: &Trace,
-        page_size: usize,
-    ) -> Result<FleetSummary, FtlError> {
-        let stripe = fleet.stripe;
-        let width = stripe.width();
-        let fleet_pages = stripe.fleet_pages();
-        let trace_ops = needs_op_tracing(self.discipline);
-        let tenants = fleet.config.tenants.clone();
-        let tenant_count = tenants.len();
-
-        let start_metrics: Vec<_> = fleet.lanes.iter().map(|lane| *lane.metrics()).collect();
-        let busy_start: Vec<Vec<Nanos>> =
-            fleet.lanes.iter().map(|lane| chip_busy_times(lane)).collect();
-
-        let mut lanes: Vec<LaneState> = fleet
-            .lanes
-            .iter()
-            .map(|lane| LaneState {
-                chips: ChipClocks::new(lane.device().config().chips()),
-                ready: Nanos::ZERO,
-                read_latencies: LatencyHistogram::new(),
-                write_latencies: LatencyHistogram::new(),
-                queue_delays: LatencyHistogram::new(),
-                service_times: LatencyHistogram::new(),
-                requests: 0,
-                last_completion: Nanos::ZERO,
-                first_arrival: None,
-                last_arrival: Nanos::ZERO,
-            })
-            .collect();
-
-        let mut cache = fleet.config.cache.map(WritebackCache::new);
-        let write_around_bytes =
-            fleet.config.cache.map(|config| config.write_around_bytes).unwrap_or(u32::MAX);
-        let hit_latency =
-            fleet.config.cache.map(|config| config.hit_latency).unwrap_or(Nanos::ZERO);
-
-        let heap_capacity = match self.discipline {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth,
-            ArrivalDiscipline::OpenLoop { .. } => 64,
-        };
-        let mut calendar = CompletionCalendar::new(heap_capacity);
-        let mut clock = Nanos::ZERO;
-
-        let mut fanout_read = LatencyHistogram::new();
-        let mut fanout_write = LatencyHistogram::new();
-        let mut stripe_read = LatencyHistogram::new();
-        let mut stripe_write = LatencyHistogram::new();
-        let mut tenant_latencies: Vec<LatencyHistogram> =
-            (0..tenant_count).map(|_| LatencyHistogram::new()).collect();
-        let mut tenant_requests = vec![0u64; tenant_count];
-        let mut tenant_last = vec![Nanos::ZERO; tenant_count];
-
-        let mut last_completion = Nanos::ZERO;
-        let mut first_arrival: Option<Nanos> = None;
-        let mut last_arrival = Nanos::ZERO;
-        let mut requests = 0u64;
-
-        // Per-request scratch, allocated once.
-        let mut chains: Vec<Option<StripeChain>> = vec![None; width];
-        let mut touched: Vec<usize> = Vec::with_capacity(width);
-
-        // Closed loop with several tenants dispatches via weighted-share QoS
-        // over per-tenant FIFOs; one tenant (or open loop, where arrivals set
-        // the order) replays the trace in order.
-        let order = match self.discipline {
-            ArrivalDiscipline::ClosedLoop { .. } => dispatch_order(&tenants, trace.len()),
-            ArrivalDiscipline::OpenLoop { .. } => (0..trace.len()).collect(),
-        };
-        let all_requests = trace.requests();
-
-        for &request_index in &order {
-            let request = &all_requests[request_index];
-            let tenant = request_index % tenant_count;
-
-            let issue = match self.discipline {
-                ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                    if calendar.outstanding() >= queue_depth {
-                        let freed = calendar.pop_earliest().expect("queue depth is at least 1");
-                        if freed > clock {
-                            clock = freed;
-                        }
-                    }
-                    clock
-                }
-                ArrivalDiscipline::OpenLoop { rate_scale } => {
-                    let arrival = scale_arrival(request.at_nanos, rate_scale);
-                    let base = *first_arrival.get_or_insert(arrival);
-                    if arrival > last_arrival {
-                        last_arrival = arrival;
-                    }
-                    arrival.saturating_sub(base)
-                }
-            };
-            calendar.observe_arrival(issue);
-
-            let mut cache_now = issue;
-            let mut cache_touched = false;
-
-            for page in request.logical_pages(page_size) {
-                let fleet_lpn = page % fleet_pages;
-                let (lane_index, offset) = stripe.locate(fleet_lpn);
-
-                // Host cache first: read hits and absorbed writes never reach
-                // a device; write-arounds invalidate and fall through.
-                if let Some(cache) = cache.as_mut() {
-                    match request.op {
-                        IoOp::Read => {
-                            if cache.read(fleet_lpn) {
-                                cache_now += hit_latency;
-                                cache_touched = true;
-                                continue;
-                            }
-                        }
-                        IoOp::Write => {
-                            if request.length < write_around_bytes {
-                                let evicted = cache.write(fleet_lpn);
-                                cache_now += hit_latency;
-                                cache_touched = true;
-                                for victim in evicted {
-                                    let (wb_lane, wb_offset) = stripe.locate(victim);
-                                    Self::play_writeback(
-                                        &mut fleet.lanes[wb_lane],
-                                        &mut lanes[wb_lane],
-                                        issue,
-                                        wb_offset,
-                                        page_size,
-                                        trace_ops,
-                                    )?;
-                                }
-                                for victim in cache.flush_to_threshold() {
-                                    let (wb_lane, wb_offset) = stripe.locate(victim);
-                                    Self::play_writeback(
-                                        &mut fleet.lanes[wb_lane],
-                                        &mut lanes[wb_lane],
-                                        issue,
-                                        wb_offset,
-                                        page_size,
-                                        trace_ops,
-                                    )?;
-                                }
-                                continue;
-                            }
-                            cache.write_around(fleet_lpn);
-                        }
-                    }
-                }
-
-                // Touch the lane before submitting, so requests whose every
-                // page is skipped (unmapped reads with prefill off) still
-                // record a zero-latency stripe — the engine counts them too.
-                if chains[lane_index].is_none() {
-                    let start = if trace_ops {
-                        issue
-                    } else {
-                        // Untraced: serialise behind the lane's writeback
-                        // backlog (a no-op with the cache off, where `ready`
-                        // never advances past the previous completion).
-                        issue.max(lanes[lane_index].ready)
-                    };
-                    chains[lane_index] = Some(StripeChain { start, now: start, service: Nanos::ZERO });
-                    touched.push(lane_index);
-                }
-                let mut chain = chains[lane_index].expect("chain initialised above");
-                self.play_page(
-                    &mut fleet.lanes[lane_index],
-                    &mut lanes[lane_index],
-                    &mut chain,
-                    request.op,
-                    offset,
-                    request.length,
-                    trace_ops,
-                )?;
-                chains[lane_index] = Some(chain);
-            }
-
-            // A request that produced neither cache traffic nor device pages
-            // (an empty byte range) still completes: park it on lane 0 with a
-            // zero-length chain so the accounting matches the engine's.
-            if touched.is_empty() && !cache_touched {
-                let start = if trace_ops { issue } else { issue.max(lanes[0].ready) };
-                chains[0] = Some(StripeChain { start, now: start, service: Nanos::ZERO });
-                touched.push(0);
-            }
-
-            let mut completion = cache_now;
-            for &lane_index in &touched {
-                let chain = chains[lane_index].expect("touched lanes have chains");
-                let sub_latency = chain.now.saturating_sub(issue);
-                let service = if trace_ops {
-                    chain.service
-                } else {
-                    chain.now.saturating_sub(chain.start)
-                };
-                let state = &mut lanes[lane_index];
-                match request.op {
-                    IoOp::Read => {
-                        state.read_latencies.record(sub_latency);
-                        stripe_read.record(sub_latency);
-                    }
-                    IoOp::Write => {
-                        state.write_latencies.record(sub_latency);
-                        stripe_write.record(sub_latency);
-                    }
-                }
-                state.queue_delays.record(sub_latency.saturating_sub(service));
-                state.service_times.record(service);
-                state.requests += 1;
-                if chain.now > state.last_completion {
-                    state.last_completion = chain.now;
-                }
-                if !trace_ops {
-                    state.ready = chain.now.max(state.ready);
-                }
-                if let ArrivalDiscipline::OpenLoop { rate_scale } = self.discipline {
-                    let arrival = scale_arrival(request.at_nanos, rate_scale);
-                    state.first_arrival.get_or_insert(arrival);
-                    if arrival > state.last_arrival {
-                        state.last_arrival = arrival;
-                    }
-                }
-                if chain.now > completion {
-                    completion = chain.now;
-                }
-                chains[lane_index] = None;
-            }
-            touched.clear();
-
-            let latency = completion.saturating_sub(issue);
-            match request.op {
-                IoOp::Read => fanout_read.record(latency),
-                IoOp::Write => fanout_write.record(latency),
-            }
-            tenant_latencies[tenant].record(latency);
-            tenant_requests[tenant] += 1;
-            if completion > tenant_last[tenant] {
-                tenant_last[tenant] = completion;
-            }
-            if completion > last_completion {
-                last_completion = completion;
-            }
-            calendar.schedule_completion(completion);
-            requests += 1;
-        }
-
-        // Assemble per-lane summaries exactly as the engine does.
-        let (mode, queue_depth, offered_duration) = match self.discipline {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                (ReplayMode::ClosedLoop, queue_depth, Nanos::ZERO)
-            }
-            ArrivalDiscipline::OpenLoop { rate_scale } => (
-                ReplayMode::OpenLoop { rate_scale },
-                0,
-                last_arrival.saturating_sub(first_arrival.unwrap_or(Nanos::ZERO)),
-            ),
-        };
-        let lane_summaries: Vec<RunSummary> = fleet
-            .lanes
-            .iter()
-            .zip(lanes.iter())
-            .enumerate()
-            .map(|(index, (lane, state))| {
-                let end = *lane.metrics();
-                let mut summary = RunSummary::from_metrics_delta(
-                    lane.name(),
-                    trace.name(),
-                    &start_metrics[index],
-                    &end,
-                );
-                summary.device_makespan = makespan_delta(lane, &busy_start[index]);
-                summary.host_requests = state.requests;
-                summary.host_elapsed = state.last_completion;
-                summary.read_latency = state.read_latencies.percentiles();
-                summary.write_latency = state.write_latencies.percentiles();
-                summary.queue_delay = state.queue_delays.percentiles();
-                summary.service_time = state.service_times.percentiles();
-                summary.peak_queue_depth = calendar.peak_outstanding;
-                summary.busy_arrivals = calendar.busy_arrivals;
-                summary.queue_depth = queue_depth;
-                summary.mode = mode;
-                if let ArrivalDiscipline::OpenLoop { .. } = self.discipline {
-                    summary.offered_duration = state
-                        .last_arrival
-                        .saturating_sub(state.first_arrival.unwrap_or(Nanos::ZERO));
-                }
-                summary
-            })
-            .collect();
-
-        let tenant_summaries: Vec<TenantSummary> = tenants
+        let mut host = FleetHost::new(&fleet.config);
+        let mut lanes = Striped { lanes: &mut fleet.lanes, stripe: fleet.stripe };
+        let run = self.driver.run_lanes(&mut lanes, &mut host, trace)?;
+        let tenants = host
+            .tenants
             .iter()
             .enumerate()
             .map(|(index, tenant)| TenantSummary {
                 name: tenant.name.clone(),
                 weight: tenant.weight,
-                requests: tenant_requests[index],
-                latency: tenant_latencies[index].percentiles(),
-                last_completion: tenant_last[index],
+                requests: host.tenant_requests[index],
+                latency: host.tenant_latencies[index].percentiles(),
+                last_completion: host.tenant_last[index],
             })
             .collect();
-
         Ok(FleetSummary {
             ftl: fleet.lanes[0].name().to_string(),
             trace: trace.name().to_string(),
-            width,
-            lanes: lane_summaries,
-            mode,
-            queue_depth,
-            host_requests: requests,
-            host_elapsed: last_completion,
-            offered_duration,
-            peak_queue_depth: calendar.peak_outstanding,
-            busy_arrivals: calendar.busy_arrivals,
-            fanout_read_latency: fanout_read.percentiles(),
-            fanout_write_latency: fanout_write.percentiles(),
-            stripe_read_latency: stripe_read.percentiles(),
-            stripe_write_latency: stripe_write.percentiles(),
-            cache: cache.map(|cache| cache.stats()).unwrap_or_default(),
-            tenants: tenant_summaries,
+            width: fleet.width(),
+            lanes: run.lanes,
+            mode: run.mode,
+            queue_depth: run.queue_depth,
+            host_requests: run.host_requests,
+            host_elapsed: run.host_elapsed,
+            offered_duration: run.offered_duration,
+            peak_queue_depth: run.peak_queue_depth,
+            busy_arrivals: run.busy_arrivals,
+            fanout_read_latency: host.fanout_read.percentiles(),
+            fanout_write_latency: host.fanout_write.percentiles(),
+            stripe_read_latency: host.stripe_read.percentiles(),
+            stripe_write_latency: host.stripe_write.percentiles(),
+            cache: host.cache.map(|cache| cache.stats()).unwrap_or_default(),
+            tenants,
         })
     }
-}
-
-/// Snapshot of every chip's busy time on one lane (the engine's helper,
-/// replicated — it is crate-private to `vflash-sim`).
-fn chip_busy_times<F: FlashTranslationLayer>(lane: &F) -> Vec<Nanos> {
-    let device = lane.device();
-    (0..device.config().chips())
-        .map(|chip| device.chip_busy_time(ChipId(chip)).expect("chip ids come from the config"))
-        .collect()
-}
-
-/// The measured-phase makespan of one lane: largest per-chip busy-time delta.
-fn makespan_delta<F: FlashTranslationLayer>(lane: &F, start: &[Nanos]) -> Nanos {
-    chip_busy_times(lane)
-        .iter()
-        .zip(start)
-        .map(|(&end, &begin)| end.saturating_sub(begin))
-        .max()
-        .unwrap_or(Nanos::ZERO)
 }
 
 #[cfg(test)]

@@ -17,8 +17,9 @@
 //! * per-tenant submission queues with weighted-share scheduling
 //!   ([`WeightedShares`] / [`dispatch_order`]),
 //! * a [`FleetDriver`] replaying a [`Trace`](vflash_trace::Trace) against the
-//!   fleet under the same arrival disciplines as the single-device
-//!   [`WorkloadDriver`](vflash_sim::WorkloadDriver), and
+//!   fleet on the single-device engine's own drive loop
+//!   ([`WorkloadDriver::run_lanes`](vflash_sim::WorkloadDriver::run_lanes)),
+//!   with the cache and the tenant queues plugged in as its host-tier hook, and
 //! * a [`FleetSummary`] reporting per-lane [`RunSummary`](vflash_sim::RunSummary)
 //!   rows next to fleet-level fan-out latency (max over the stripes each
 //!   request touched) so tail amplification is directly measurable.
@@ -26,8 +27,9 @@
 //! The load-bearing property — pinned by `tests/fleet_equivalence.rs` — is
 //! that a fleet of one device with the cache disabled reproduces the
 //! single-device engine **bit for bit**: same histograms, same metrics, same
-//! device state. Everything the host tier adds is therefore observable as a
-//! delta against a trusted baseline.
+//! device state. Both run the same loop, so this holds by construction.
+//! Everything the host tier adds is therefore observable as a delta against a
+//! trusted baseline.
 //!
 //! # Example
 //!

@@ -1,15 +1,14 @@
 //! The discrete-event calendar at the core of the workload driver.
 //!
-//! The drive loop used to juggle three time-ordered structures: a closed-loop
-//! slot heap (completion times of requests holding queue slots), an open-loop
+//! The drive loop used to juggle two time-ordered heaps: a closed-loop slot
+//! heap (completion times of requests holding queue slots) and an open-loop
 //! outstanding heap (completion times of requests still in flight in simulated
-//! time) and a vector of per-chip ready clocks. The first two held the *same
-//! values* — host-completion instants — ordered the same way, and diverged only
-//! in when entries were popped. This module collapses them into one
-//! [`EventCalendar`]: a single binary heap of typed [`Event`]s drained
-//! earliest-first, plus the per-chip ready clocks (kept as random-access
-//! resource clocks rather than events: an op needs *its* chip's availability,
-//! not the globally earliest one).
+//! time). They held the *same values* — host-completion instants — ordered the
+//! same way, and diverged only in when entries were popped. This module
+//! collapses them into one [`EventCalendar`]: a single binary heap of
+//! completion instants drained earliest-first. The per-chip ready clocks are
+//! not events (an op needs *its* chip's availability, not the globally
+//! earliest one) and live with each lane instead.
 //!
 //! Why one heap is enough: every completion pushed is `>=` every value popped
 //! before it (a completion ends at or after its issue instant, which is at or
@@ -26,39 +25,15 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use vflash_nand::{ChipClocks, Nanos};
+use vflash_nand::Nanos;
 
-/// What a scheduled event is. Today the drive loop only schedules host-request
-/// completions; the enum exists so further event sources (device maintenance,
-/// background migration) slot into the same calendar instead of growing a
-/// fourth ad-hoc structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum EventKind {
-    /// A host request completes (leaves the simulated queue).
-    HostCompletion,
-}
-
-/// A scheduled instant in simulated time. Ordered by time, then kind, so the
-/// heap pops deterministically even with mixed kinds at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Event {
-    /// When the event fires.
-    pub at: Nanos,
-    /// What fires.
-    pub kind: EventKind,
-}
-
-/// The single time-ordered core of the drive loop: pending events over one
-/// binary heap, per-chip ready clocks, and the backlog statistics that fall out
-/// of draining them.
+/// The single time-ordered core of the drive loop: pending host completions
+/// over one binary heap, and the backlog statistics that fall out of draining
+/// them.
 #[derive(Debug, Clone)]
 pub(crate) struct EventCalendar {
-    /// Pending events, popped earliest-first.
-    events: BinaryHeap<Reverse<Event>>,
-    /// Per-chip busy-until clocks. Resource clocks, not events: ops ask for a
-    /// specific chip's availability by index. Shared with the FTL batch path
-    /// (`submit_batch`) so both schedule ops under the exact same rule.
-    chip_ready: ChipClocks,
+    /// Pending host completions, popped earliest-first.
+    events: BinaryHeap<Reverse<Nanos>>,
     /// Largest number of host completions pending right after an arrival was
     /// scheduled — the peak backlog.
     peak_outstanding: usize,
@@ -67,12 +42,11 @@ pub(crate) struct EventCalendar {
 }
 
 impl EventCalendar {
-    /// An empty calendar for a device with `chips` chips. `capacity` presizes
-    /// the event heap (the closed-loop queue depth; open loop passes a guess).
-    pub(crate) fn new(chips: usize, capacity: usize) -> Self {
+    /// An empty calendar. `capacity` presizes the heap (the closed-loop queue
+    /// depth; open loop passes a guess).
+    pub(crate) fn new(capacity: usize) -> Self {
         EventCalendar {
             events: BinaryHeap::with_capacity(capacity),
-            chip_ready: ChipClocks::new(chips),
             peak_outstanding: 0,
             busy_arrivals: 0,
         }
@@ -87,14 +61,14 @@ impl EventCalendar {
     /// calls this when all queue slots are taken: the popped instant is when
     /// the next slot frees.
     pub(crate) fn pop_earliest(&mut self) -> Option<Nanos> {
-        self.events.pop().map(|Reverse(event)| event.at)
+        self.events.pop().map(|Reverse(at)| at)
     }
 
     /// Observes a request arriving (being issued) at `issue`: retires every
     /// completion at or before that instant, and counts the arrival as *busy*
     /// if any earlier request is still outstanding afterwards.
     pub(crate) fn observe_arrival(&mut self, issue: Nanos) {
-        while self.events.peek().is_some_and(|&Reverse(event)| event.at <= issue) {
+        while self.events.peek().is_some_and(|&Reverse(at)| at <= issue) {
             self.events.pop();
         }
         if !self.events.is_empty() {
@@ -102,16 +76,9 @@ impl EventCalendar {
         }
     }
 
-    /// Plays one timed device op: the op starts when both its predecessor
-    /// (`now`) and its chip are ready, and advances the chip's clock. Returns
-    /// the op's end time (the new `now` of the request chain).
-    pub(crate) fn play_op(&mut self, chip: usize, now: Nanos, latency: Nanos) -> Nanos {
-        self.chip_ready.play_op(chip, now, latency)
-    }
-
     /// Schedules a host completion at `at` and tracks the peak backlog.
     pub(crate) fn schedule_completion(&mut self, at: Nanos) {
-        self.events.push(Reverse(Event { at, kind: EventKind::HostCompletion }));
+        self.events.push(Reverse(at));
         if self.events.len() > self.peak_outstanding {
             self.peak_outstanding = self.events.len();
         }
@@ -134,7 +101,7 @@ mod tests {
 
     #[test]
     fn events_pop_earliest_first() {
-        let mut calendar = EventCalendar::new(1, 4);
+        let mut calendar = EventCalendar::new(4);
         for at in [30u64, 10, 20] {
             calendar.schedule_completion(Nanos(at));
         }
@@ -146,7 +113,7 @@ mod tests {
 
     #[test]
     fn observe_arrival_retires_due_completions_and_counts_busy_arrivals() {
-        let mut calendar = EventCalendar::new(1, 4);
+        let mut calendar = EventCalendar::new(4);
         calendar.schedule_completion(Nanos(100));
         calendar.schedule_completion(Nanos(200));
         // Arrival at t=100 retires the t=100 completion (<=) but finds t=200
@@ -162,7 +129,7 @@ mod tests {
 
     #[test]
     fn peak_outstanding_tracks_the_backlog_high_water_mark() {
-        let mut calendar = EventCalendar::new(1, 4);
+        let mut calendar = EventCalendar::new(4);
         calendar.schedule_completion(Nanos(10));
         calendar.schedule_completion(Nanos(20));
         calendar.schedule_completion(Nanos(30));
@@ -170,26 +137,5 @@ mod tests {
         calendar.observe_arrival(Nanos(25));
         assert_eq!(calendar.outstanding(), 1);
         assert_eq!(calendar.peak_outstanding(), 3, "the peak never decays");
-    }
-
-    #[test]
-    fn play_op_serialises_on_a_chip_and_overlaps_across_chips() {
-        let mut calendar = EventCalendar::new(2, 4);
-        // Two ops on chip 0 serialise.
-        let first = calendar.play_op(0, Nanos(0), Nanos(100));
-        assert_eq!(first, Nanos(100));
-        let second = calendar.play_op(0, Nanos(0), Nanos(50));
-        assert_eq!(second, Nanos(150), "chip 0 was busy until t=100");
-        // Chip 1 is idle, so an op chained after `now` starts immediately.
-        let third = calendar.play_op(1, Nanos(40), Nanos(10));
-        assert_eq!(third, Nanos(50));
-    }
-
-    #[test]
-    fn event_ordering_is_time_then_kind() {
-        let early = Event { at: Nanos(5), kind: EventKind::HostCompletion };
-        let late = Event { at: Nanos(6), kind: EventKind::HostCompletion };
-        assert!(early < late);
-        assert_eq!(early, early);
     }
 }

@@ -1,25 +1,36 @@
-//! The workload-driver engine: one drive loop for every replay discipline.
+//! The workload-driver engine: one drive loop for every replay discipline and
+//! every lane count.
 //!
-//! Historically the crate had two divergent replayers — a serial `Replayer`
-//! (queue depth 1, summed latencies) and an event-driven `QueuedReplayer`
-//! (queue-depth N over per-chip ready clocks). Both were **closed-loop**: the next
-//! request was issued the moment a queue slot freed, so every reported percentile
-//! was a saturation number and the arrival timestamps the traces carry were
-//! ignored. This module collapses the two loops into a single engine,
-//! parameterised by an [`ArrivalDiscipline`]:
+//! The loop is parameterised by an [`ArrivalDiscipline`]:
 //!
 //! * [`ArrivalDiscipline::ClosedLoop`] — keep `queue_depth` requests in flight;
 //!   a request is issued when the earliest in-flight request completes. At depth 1
-//!   this reproduces the serial replayer **bit-for-bit** (summary and device
-//!   state), at depth N the queued replayer — both guarantees are locked down by
-//!   `tests/engine_equivalence.rs` against reference implementations of the
-//!   pre-refactor loops.
+//!   this reproduces the historic serial replayer **bit-for-bit** (summary and
+//!   device state), at depth N the historic queued replayer — both guarantees are
+//!   locked down by `tests/engine_equivalence.rs` against reference
+//!   implementations of those loops.
 //! * [`ArrivalDiscipline::OpenLoop`] — issue each request at its trace-recorded
 //!   arrival time (`at_nanos`, scaled by `rate_scale`), queueing on the device
 //!   when it is busy. This is what exposes *latency under load*: response time
 //!   decomposes into **queueing delay** (time spent waiting for busy chips) and
 //!   **service time** (time the device actually worked), reported separately in
 //!   the [`RunSummary`], together with offered vs achieved IOPS.
+//!
+//! # Lanes and the host tier
+//!
+//! The loop replays against a set of [`Lanes`]: one FTL per lane, and a router
+//! from the wrapped keyspace page to a `(lane, device page)` home. A single FTL
+//! is a width-1 set that routes page `p` to `p % logical_pages`; the
+//! `vflash-fleet` crate passes its striped lanes. Between the host and the
+//! lanes sits a [`HostTier`] hook, which may serve pages itself (a host cache),
+//! hand back pages to write back, choose the dispatch order and observe every
+//! completion. The single-device driver passes `()`, whose every method is a
+//! no-op that monomorphisation compiles away.
+//!
+//! A multi-page host request splits into per-lane **stripe chains**: pages on
+//! one lane form a dependent chain against that lane's chips, chains on
+//! different lanes run in parallel, and the request completes at the max over
+//! its chains (and any host-tier time).
 //!
 //! # The timing model
 //!
@@ -32,7 +43,7 @@
 //! For each request the engine obtains the request's timed device operations (via
 //! [`submit`](vflash_ftl::FlashTranslationLayer::submit) completions with
 //! [op tracing](vflash_nand::NandDevice::set_op_tracing) enabled) and plays them
-//! against per-chip ready clocks:
+//! against the lane's per-chip ready clocks:
 //!
 //! ```text
 //! issue   = slot-free time (closed loop) | scaled arrival time (open loop)
@@ -47,23 +58,24 @@
 //! page's completion latency serially — the exact code path (and cost) of the old
 //! serial replayer. Depth 1 additionally needs no event bookkeeping at all (the
 //! next request issues exactly at the previous completion, so no arrival ever
-//! finds the system busy), and the engine runs it as a pure scalar-clock loop.
+//! finds the system busy), and the engine issues from a scalar clock. Untraced
+//! host-tier writebacks advance a lane-level ready clock instead of the chips.
 //!
 //! # The event calendar
 //!
 //! Every other configuration drains one
 //! [`EventCalendar`](crate::calendar::EventCalendar): a single binary heap of
-//! typed events (host completions, today) plus the per-chip ready clocks. The
-//! closed-loop slot wait pops the earliest completion from the same heap that
-//! the retirement sweep drains — see `calendar.rs` for why one heap reproduces
-//! the historic slot-heap/outstanding-heap pair bit-for-bit. Completions carry
+//! host-completion instants. The closed-loop slot wait pops the earliest
+//! completion from the same heap that the retirement sweep drains — see
+//! `calendar.rs` for why one heap reproduces the historic
+//! slot-heap/outstanding-heap pair bit-for-bit. Completions carry
 //! [`OpSpan`](vflash_nand::OpSpan)s into the device's op arena rather than
 //! per-request vectors, so the traced hot path performs no allocation per
-//! request: the engine plays a span against the calendar and releases the arena
-//! before the next page.
+//! request: the engine plays a span against the lane's chips and releases the
+//! arena before the next page.
 
-use vflash_ftl::{FlashTranslationLayer, FtlError, IoRequest as FtlRequest, Lpn};
-use vflash_nand::{ChipId, Nanos};
+use vflash_ftl::{FlashTranslationLayer, FtlError, FtlMetrics, IoRequest as FtlRequest, Lpn};
+use vflash_nand::{ChipClocks, ChipId, Nanos};
 use vflash_trace::{IoOp, Trace};
 
 use crate::calendar::EventCalendar;
@@ -191,13 +203,224 @@ fn scale_arrival(at_nanos: u64, rate_scale: f64) -> Nanos {
     }
 }
 
+/// The devices one drive loop replays against: homogeneous FTL lanes (same page
+/// size, same logical capacity) behind one flat keyspace of
+/// `width × lane capacity` pages.
+pub trait Lanes {
+    /// The FTL serving each lane.
+    type Ftl: FlashTranslationLayer + ?Sized;
+
+    /// Number of lanes (at least 1).
+    fn width(&self) -> usize;
+
+    /// The FTL of lane `index`.
+    fn lane(&self, index: usize) -> &Self::Ftl;
+
+    /// The FTL of lane `index`, mutably.
+    fn lane_mut(&mut self, index: usize) -> &mut Self::Ftl;
+
+    /// Maps a keyspace page (already wrapped modulo the keyspace size) to its
+    /// `(lane, device-local page)` home.
+    fn locate(&self, page: u64) -> (usize, u64);
+}
+
+/// A single FTL as a width-1 lane set: every page lives on lane 0 at its own
+/// number.
+struct SingleLane<'a, F: ?Sized>(&'a mut F);
+
+impl<F: FlashTranslationLayer + ?Sized> Lanes for SingleLane<'_, F> {
+    type Ftl = F;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn lane(&self, _index: usize) -> &F {
+        self.0
+    }
+
+    fn lane_mut(&mut self, _index: usize) -> &mut F {
+        self.0
+    }
+
+    fn locate(&self, page: u64) -> (usize, u64) {
+        (0, page)
+    }
+}
+
+/// The host tier between the trace and the lanes: an optional cache, the
+/// dispatch order and observers of every completion. Every method defaults to a
+/// no-op; `()` is the empty host tier the single-device driver runs with.
+pub trait HostTier {
+    /// The order in which a closed-loop replay dispatches the trace's `requests`
+    /// (a permutation of their indices), or `None` for trace order. Open-loop
+    /// replays always issue in trace (arrival) order and never ask.
+    fn dispatch_order(&self, requests: usize) -> Option<Vec<usize>> {
+        let _ = requests;
+        None
+    }
+
+    /// Offers keyspace `page` of an `op` request of `request_bytes` bytes to the
+    /// host tier before it reaches its lane. Returns the host-side cost when the
+    /// host serves the page itself (no lane is touched); a served page may push
+    /// keyspace pages that must be written back to their lanes onto
+    /// `writebacks`, which the loop plays as background writes.
+    fn serve_page(
+        &mut self,
+        op: IoOp,
+        request_bytes: u32,
+        page: u64,
+        writebacks: &mut Vec<u64>,
+    ) -> Option<Nanos> {
+        let _ = (op, request_bytes, page, writebacks);
+        None
+    }
+
+    /// One lane's share of an `op` request (its stripe) completed `latency`
+    /// after the request's issue.
+    fn stripe_done(&mut self, op: IoOp, latency: Nanos) {
+        let _ = (op, latency);
+    }
+
+    /// The `op` request at trace position `index` completed at `completion`,
+    /// `latency` after its issue.
+    fn request_done(&mut self, index: usize, op: IoOp, latency: Nanos, completion: Nanos) {
+        let _ = (index, op, latency, completion);
+    }
+}
+
+impl HostTier for () {}
+
+/// What one replay over a lane set measured: a [`RunSummary`] per lane plus the
+/// request-level quantities no single lane sees.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LanesSummary {
+    /// One summary per lane, in lane order.
+    pub lanes: Vec<RunSummary>,
+    /// The arrival discipline the replay was driven under.
+    pub mode: ReplayMode,
+    /// Closed-loop queue depth (`0` for open loop).
+    pub queue_depth: usize,
+    /// Host requests replayed.
+    pub host_requests: u64,
+    /// Replay-clock time at which the last request completed.
+    pub host_elapsed: Nanos,
+    /// For open-loop replays: the span of the (rate-scaled) arrival clock.
+    pub offered_duration: Nanos,
+    /// Largest number of host requests simultaneously outstanding.
+    pub peak_queue_depth: usize,
+    /// Requests that arrived while an earlier request was still in flight.
+    pub busy_arrivals: u64,
+}
+
+/// One lane's accumulators, including the stripe chain of the request in flight.
+struct LaneState {
+    start_metrics: FtlMetrics,
+    busy_start: Vec<Nanos>,
+    chips: ChipClocks,
+    /// Untraced (closed-loop depth 1) lane-level ready clock: carries the
+    /// host-tier writeback backlog when op tracing is off.
+    ready: Nanos,
+    /// Whether the current request has a stripe chain on this lane, its
+    /// clock, and the device time it consumed (its service time).
+    active: bool,
+    chain_now: Nanos,
+    chain_service: Nanos,
+    read_latencies: LatencyHistogram,
+    write_latencies: LatencyHistogram,
+    queue_delays: LatencyHistogram,
+    service_times: LatencyHistogram,
+    requests: u64,
+    last_completion: Nanos,
+    first_arrival: Option<Nanos>,
+    last_arrival: Nanos,
+}
+
+impl LaneState {
+    fn new<F: FlashTranslationLayer + ?Sized>(ftl: &F) -> Self {
+        LaneState {
+            start_metrics: *ftl.metrics(),
+            busy_start: chip_busy_times(ftl),
+            chips: ChipClocks::new(ftl.device().config().chips()),
+            ready: Nanos::ZERO,
+            active: false,
+            chain_now: Nanos::ZERO,
+            chain_service: Nanos::ZERO,
+            read_latencies: LatencyHistogram::new(),
+            write_latencies: LatencyHistogram::new(),
+            queue_delays: LatencyHistogram::new(),
+            service_times: LatencyHistogram::new(),
+            requests: 0,
+            last_completion: Nanos::ZERO,
+            first_arrival: None,
+            last_arrival: Nanos::ZERO,
+        }
+    }
+
+    /// Opens this lane's stripe chain for a request issued at `issue`. Untraced
+    /// chains queue behind the lane's writeback backlog.
+    fn begin(&mut self, issue: Nanos, traced: bool) {
+        let start = if traced { issue } else { issue.max(self.ready) };
+        self.active = true;
+        self.chain_now = start;
+        self.chain_service = Nanos::ZERO;
+    }
+
+    /// Closes the stripe chain of an `op` request issued at `issue` (arriving at
+    /// `arrival` in open loop) and records it; returns the stripe's latency.
+    fn finish(&mut self, op: IoOp, issue: Nanos, arrival: Option<Nanos>, traced: bool) -> Nanos {
+        self.active = false;
+        let latency = self.chain_now.saturating_sub(issue);
+        match op {
+            IoOp::Read => self.read_latencies.record(latency),
+            IoOp::Write => self.write_latencies.record(latency),
+        }
+        self.queue_delays.record(latency.saturating_sub(self.chain_service));
+        self.service_times.record(self.chain_service);
+        self.requests += 1;
+        if self.chain_now > self.last_completion {
+            self.last_completion = self.chain_now;
+        }
+        if !traced {
+            self.ready = self.chain_now.max(self.ready);
+        }
+        if let Some(arrival) = arrival {
+            self.first_arrival.get_or_insert(arrival);
+            if arrival > self.last_arrival {
+                self.last_arrival = arrival;
+            }
+        }
+        latency
+    }
+
+    /// Plays one background writeback issued at `issue`: traced, the write
+    /// chains against the lane's chips; untraced, it bumps the lane-level
+    /// ready clock. It never extends the triggering request's latency.
+    fn play_writeback<F: FlashTranslationLayer + ?Sized>(
+        &mut self,
+        ftl: &mut F,
+        issue: Nanos,
+        page: u64,
+        page_size: usize,
+        traced: bool,
+    ) -> Result<(), FtlError> {
+        let completion = ftl.submit(FtlRequest::write(Lpn(page), page_size as u32))?;
+        if traced && !completion.ops.is_empty() {
+            let mut now = issue;
+            for op in ftl.device().ops(completion.ops) {
+                now = self.chips.play_op(op.chip.0, now, op.latency);
+            }
+            ftl.device_mut().clear_ops();
+        } else {
+            self.ready = self.ready.max(issue) + completion.latency;
+        }
+        Ok(())
+    }
+}
+
 /// The unified workload driver: replays a [`Trace`] against any
 /// [`FlashTranslationLayer`] under a chosen [`ArrivalDiscipline`] and reports a
 /// [`RunSummary`].
-///
-/// The serial [`Replayer`](crate::Replayer) and the queue-depth
-/// [`QueuedReplayer`](crate::QueuedReplayer) are thin compatibility wrappers over
-/// this type.
 ///
 /// # Example
 ///
@@ -307,219 +530,286 @@ impl WorkloadDriver {
         ftl: &mut F,
         trace: &Trace,
     ) -> Result<RunSummary, FtlError> {
-        let page_size = ftl.device().config().page_size_bytes();
-        let logical_pages = ftl.logical_pages();
+        let run = self.run_lanes(&mut SingleLane(ftl), &mut (), trace)?;
+        Ok(run.lanes.into_iter().next().expect("a single lane"))
+    }
+
+    /// Replays `trace` against a lane set behind a host tier — the loop
+    /// [`WorkloadDriver::run_mut`] runs at width 1 with the empty host tier `()`.
+    /// Trace pages wrap modulo the keyspace (`width × lane capacity`) and are
+    /// routed by [`Lanes::locate`]. The prefill warms every lane with the pages
+    /// routed to it; with the default options no read is unmapped.
+    ///
+    /// # Errors
+    ///
+    /// Propagates FTL errors from any lane; see [`WorkloadDriver::run`].
+    pub fn run_lanes<L: Lanes + ?Sized, H: HostTier>(
+        &self,
+        lanes: &mut L,
+        host: &mut H,
+        trace: &Trace,
+    ) -> Result<LanesSummary, FtlError> {
+        let page_size = lanes.lane(0).device().config().page_size_bytes();
+        let pages = lanes.width() as u64 * lanes.lane(0).logical_pages();
 
         // The warm-up always runs serially with tracing off, so device state
         // entering the measured phase is identical across disciplines.
         if self.options.prefill {
-            prefill_ftl(ftl, trace, page_size, logical_pages, self.options.prefill_request_bytes)?;
+            prefill_lanes(lanes, trace, page_size, pages, self.options.prefill_request_bytes)?;
         }
 
-        let trace_ops = self.discipline.needs_op_tracing();
-        if trace_ops {
-            ftl.device_mut().set_op_tracing(true);
+        // The two tracing modes get a loop each, compiled from one body: the
+        // untraced (depth-1) instantiation drops every op-overlay branch.
+        if self.discipline.needs_op_tracing() {
+            set_op_tracing(lanes, true);
+            let outcome = self.drive::<true, _, _>(lanes, host, trace, page_size, pages);
+            set_op_tracing(lanes, false);
+            outcome
+        } else {
+            self.drive::<false, _, _>(lanes, host, trace, page_size, pages)
         }
-        let outcome = self.drive(ftl, trace, page_size, logical_pages);
-        if trace_ops {
-            ftl.device_mut().set_op_tracing(false);
-        }
-        outcome
     }
 
-    /// The single drive loop shared by every discipline: each request walks
-    /// issue → retire → play → schedule against one [`EventCalendar`].
-    fn drive<F: FlashTranslationLayer + ?Sized>(
+    /// The single drive loop shared by every discipline and lane count: each
+    /// request walks issue → retire → host tier / stripe chains → schedule.
+    /// `TRACED` is whether op tracing is on, i.e. whether the discipline
+    /// needs the op overlay and the calendar.
+    fn drive<const TRACED: bool, L: Lanes + ?Sized, H: HostTier>(
         &self,
-        ftl: &mut F,
+        lanes: &mut L,
+        host: &mut H,
         trace: &Trace,
         page_size: usize,
-        logical_pages: u64,
-    ) -> Result<RunSummary, FtlError> {
-        let start = *ftl.metrics();
-        let busy_start = chip_busy_times(ftl);
-        let chips = ftl.device().config().chips();
+        pages: u64,
+    ) -> Result<LanesSummary, FtlError> {
+        let mut states: Vec<LaneState> =
+            (0..lanes.width()).map(|index| LaneState::new(lanes.lane(index))).collect();
+        let mut writebacks = Vec::new();
 
-        let mut read_latencies = LatencyHistogram::new();
-        let mut write_latencies = LatencyHistogram::new();
-        let mut queue_delays = LatencyHistogram::new();
-        let mut service_times = LatencyHistogram::new();
+        let heap_capacity = match self.discipline {
+            ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth,
+            ArrivalDiscipline::OpenLoop { .. } => 64,
+        };
+        let mut calendar = EventCalendar::new(heap_capacity);
+        let mut clock = Nanos::ZERO;
         let mut last_completion = Nanos::ZERO;
         let mut first_arrival: Option<Nanos> = None;
         let mut last_arrival = Nanos::ZERO;
-        let mut requests = 0u64;
 
-        let (peak_queue_depth, busy_arrivals) = if self.discipline
-            == (ArrivalDiscipline::ClosedLoop { queue_depth: 1 })
-        {
-            // Scalar fast path. At depth 1 each request issues exactly at the
-            // previous completion: the calendar would hold at most one event,
-            // retired on the very next arrival, so no arrival ever finds the
-            // system busy and the whole event machinery reduces to one running
-            // clock (with peak backlog 1 and zero busy arrivals by
-            // construction). Tracing is off here, so pages charge serially.
-            let mut clock = Nanos::ZERO;
-            for request in trace {
-                let issue = clock;
-                for page in request.logical_pages(page_size) {
-                    let lpn = Lpn(page % logical_pages);
-                    let completion = match request.op {
-                        IoOp::Write => ftl.submit(FtlRequest::write(lpn, request.length))?,
-                        IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
-                            Ok(completion) => completion,
-                            // Without prefill, reads of never-written data are
-                            // skipped, mirroring how a real host would simply
-                            // get zeroes back.
-                            Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => {
-                                continue
-                            }
-                            Err(err) => return Err(err),
-                        },
-                    };
-                    clock += completion.latency;
-                }
-                let latency = clock.saturating_sub(issue);
-                match request.op {
-                    IoOp::Read => read_latencies.record(latency),
-                    IoOp::Write => write_latencies.record(latency),
-                }
-                queue_delays.record(Nanos::ZERO);
-                service_times.record(latency);
-                requests += 1;
-            }
-            last_completion = clock;
-            (usize::from(requests > 0), 0)
-        } else {
-            let heap_capacity = match self.discipline {
-                ArrivalDiscipline::ClosedLoop { queue_depth } => queue_depth,
-                ArrivalDiscipline::OpenLoop { .. } => 64,
-            };
-            let mut calendar = EventCalendar::new(chips, heap_capacity);
-            let mut clock = Nanos::ZERO;
-
-            for request in trace {
-                // When is this request issued?
-                let issue = match self.discipline {
-                    ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                        // Wait for a queue slot: at full depth the issue time is
-                        // the earliest pending completion (the clock never moves
-                        // backwards, so issue order is preserved). Below full
-                        // depth — retirement already drained the backlog — that
-                        // earliest completion preceded an earlier issue and the
-                        // clock already covers it.
-                        if calendar.outstanding() >= queue_depth {
-                            let freed =
-                                calendar.pop_earliest().expect("queue depth is at least 1");
-                            if freed > clock {
-                                clock = freed;
-                            }
-                        }
-                        clock
-                    }
-                    ArrivalDiscipline::OpenLoop { rate_scale } => {
-                        // The trace-recorded arrival time, compressed or
-                        // stretched by the rate scale. Nothing bounds how many
-                        // requests are outstanding — that is what "open loop"
-                        // means. Issue times are rebased against the trace's
-                        // first arrival: a subset cut from the middle of an MSR
-                        // file keeps file-relative timestamps (deliberately —
-                        // see `msr::SubsetOptions`), and without the rebase that
-                        // offset would count as replay time and deflate the
-                        // achieved IOPS.
-                        let arrival = scale_arrival(request.at_nanos, rate_scale);
-                        let base = *first_arrival.get_or_insert(arrival);
-                        if arrival > last_arrival {
-                            last_arrival = arrival;
-                        }
-                        arrival.saturating_sub(base)
-                    }
-                };
-                // Retire every completion at or before this issue instant;
-                // whatever remains is the queue this arrival joins.
-                calendar.observe_arrival(issue);
-
-                let mut now = issue;
-                let mut service = Nanos::ZERO;
-
-                // A multi-page host request is a dependent chain of page
-                // submissions; each timed device op starts when both its
-                // predecessor in the chain and its chip are ready.
-                for page in request.logical_pages(page_size) {
-                    let lpn = Lpn(page % logical_pages);
-                    let completion = match request.op {
-                        IoOp::Write => ftl.submit(FtlRequest::write(lpn, request.length))?,
-                        IoOp::Read => match ftl.submit(FtlRequest::read(lpn)) {
-                            Ok(completion) => completion,
-                            Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => {
-                                continue
-                            }
-                            Err(err) => return Err(err),
-                        },
-                    };
-                    let span = completion.ops;
-                    if span.is_empty() {
-                        now += completion.latency;
-                        service += completion.latency;
-                    } else {
-                        for op in ftl.device().ops(span) {
-                            now = calendar.play_op(op.chip.0, now, op.latency);
-                            service += op.latency;
-                        }
-                        // Release the op arena: spans never outlive the page
-                        // that produced them, so the backing buffer stays at
-                        // one page's worth of records and never reallocates.
-                        ftl.device_mut().clear_ops();
-                    }
-                }
-
-                let latency = now.saturating_sub(issue);
-                match request.op {
-                    IoOp::Read => read_latencies.record(latency),
-                    IoOp::Write => write_latencies.record(latency),
-                }
-                queue_delays.record(latency.saturating_sub(service));
-                service_times.record(service);
-                if now > last_completion {
-                    last_completion = now;
-                }
-                calendar.schedule_completion(now);
-                requests += 1;
-            }
-
-            (calendar.peak_outstanding(), calendar.busy_arrivals())
+        let order = match self.discipline {
+            ArrivalDiscipline::ClosedLoop { .. } => host.dispatch_order(trace.len()),
+            ArrivalDiscipline::OpenLoop { .. } => None,
         };
+        let all_requests = trace.requests();
 
-        let end = *ftl.metrics();
-        let mut summary = RunSummary::from_metrics_delta(ftl.name(), trace.name(), &start, &end);
-        summary.device_makespan = makespan_delta(ftl, &busy_start);
-        summary.host_requests = requests;
-        summary.host_elapsed = last_completion;
-        summary.read_latency = read_latencies.percentiles();
-        summary.write_latency = write_latencies.percentiles();
-        summary.queue_delay = queue_delays.percentiles();
-        summary.service_time = service_times.percentiles();
-        summary.peak_queue_depth = peak_queue_depth;
-        summary.busy_arrivals = busy_arrivals;
-        match self.discipline {
-            ArrivalDiscipline::ClosedLoop { queue_depth } => {
-                summary.queue_depth = queue_depth;
-                summary.mode = ReplayMode::ClosedLoop;
+        for position in 0..all_requests.len() {
+            let index = order.as_ref().map_or(position, |order| order[position]);
+            let request = &all_requests[index];
+
+            // When is this request issued?
+            let (issue, arrival) = match self.discipline {
+                ArrivalDiscipline::ClosedLoop { queue_depth } => {
+                    // Wait for a queue slot: at full depth the issue time is the
+                    // earliest pending completion (the clock never moves
+                    // backwards, so issue order is preserved). Below full depth
+                    // — retirement already drained the backlog — that earliest
+                    // completion preceded an earlier issue and the clock already
+                    // covers it. At depth 1 (untraced) the clock alone is the
+                    // calendar: each request issues at the previous completion.
+                    if TRACED && calendar.outstanding() >= queue_depth {
+                        let freed = calendar.pop_earliest().expect("queue depth is at least 1");
+                        if freed > clock {
+                            clock = freed;
+                        }
+                    }
+                    (clock, None)
+                }
+                ArrivalDiscipline::OpenLoop { rate_scale } => {
+                    // The trace-recorded arrival time, compressed or stretched
+                    // by the rate scale. Nothing bounds how many requests are
+                    // outstanding — that is what "open loop" means. Issue times
+                    // are rebased against the trace's first arrival: a subset
+                    // cut from the middle of an MSR file keeps file-relative
+                    // timestamps (deliberately — see `msr::SubsetOptions`), and
+                    // without the rebase that offset would count as replay time
+                    // and deflate the achieved IOPS.
+                    let arrival = scale_arrival(request.at_nanos, rate_scale);
+                    let base = *first_arrival.get_or_insert(arrival);
+                    if arrival > last_arrival {
+                        last_arrival = arrival;
+                    }
+                    (arrival.saturating_sub(base), Some(arrival))
+                }
+            };
+            // Retire every completion at or before this issue instant; whatever
+            // remains is the queue this arrival joins.
+            if TRACED {
+                calendar.observe_arrival(issue);
             }
-            ArrivalDiscipline::OpenLoop { rate_scale } => {
-                // No queue-depth bound exists in open loop; 0 marks "unbounded".
-                summary.queue_depth = 0;
-                summary.mode = ReplayMode::OpenLoop { rate_scale };
-                summary.offered_duration =
-                    last_arrival.saturating_sub(first_arrival.unwrap_or(Nanos::ZERO));
+
+            let mut host_now = issue;
+            let mut touched = false;
+
+            for page in request.logical_pages(page_size) {
+                let page = page % pages;
+                // The host tier first: pages it serves never reach a lane, but
+                // may push writebacks that occupy their lanes in the background.
+                let served = host.serve_page(request.op, request.length, page, &mut writebacks);
+                if let Some(cost) = served {
+                    host_now += cost;
+                    touched = true;
+                    for victim in writebacks.drain(..) {
+                        let (lane, offset) = lanes.locate(victim);
+                        states[lane].play_writeback(
+                            lanes.lane_mut(lane),
+                            issue,
+                            offset,
+                            page_size,
+                            TRACED,
+                        )?;
+                    }
+                    continue;
+                }
+
+                // Open the lane's chain before submitting, so requests whose
+                // every page is skipped still record a zero-latency stripe.
+                let (lane, offset) = lanes.locate(page);
+                let state = &mut states[lane];
+                if !state.active {
+                    state.begin(issue, TRACED);
+                    touched = true;
+                }
+                let ftl = lanes.lane_mut(lane);
+                let completion = match request.op {
+                    IoOp::Write => ftl.submit(FtlRequest::write(Lpn(offset), request.length))?,
+                    IoOp::Read => match ftl.submit(FtlRequest::read(Lpn(offset))) {
+                        Ok(completion) => completion,
+                        // Without prefill, reads of never-written data are
+                        // skipped, mirroring how a real host would simply get
+                        // zeroes back.
+                        Err(FtlError::UnmappedRead { .. }) if !self.options.prefill => continue,
+                        Err(err) => return Err(err),
+                    },
+                };
+                // A multi-page request is a dependent chain per lane: each timed
+                // device op starts when both its predecessor in the chain and
+                // its chip are ready. Untraced pages charge serially.
+                if TRACED && !completion.ops.is_empty() {
+                    let (mut now, mut service) = (state.chain_now, state.chain_service);
+                    for op in ftl.device().ops(completion.ops) {
+                        now = state.chips.play_op(op.chip.0, now, op.latency);
+                        service += op.latency;
+                    }
+                    (state.chain_now, state.chain_service) = (now, service);
+                    // Release the op arena: spans never outlive the page that
+                    // produced them, so the backing buffer stays at one page's
+                    // worth of records and never reallocates.
+                    ftl.device_mut().clear_ops();
+                } else {
+                    state.chain_now += completion.latency;
+                    state.chain_service += completion.latency;
+                }
+            }
+
+            // A request that produced neither host-tier time nor lane pages (an
+            // empty byte range) still completes: park it on lane 0 with a
+            // zero-length chain.
+            if !touched {
+                states[0].begin(issue, TRACED);
+            }
+
+            let mut completion = host_now;
+            for state in states.iter_mut().filter(|state| state.active) {
+                let latency = state.finish(request.op, issue, arrival, TRACED);
+                host.stripe_done(request.op, latency);
+                if state.chain_now > completion {
+                    completion = state.chain_now;
+                }
+            }
+            host.request_done(index, request.op, completion.saturating_sub(issue), completion);
+            if completion > last_completion {
+                last_completion = completion;
+            }
+            if TRACED {
+                calendar.schedule_completion(completion);
+            } else {
+                clock = completion;
             }
         }
-        Ok(summary)
+        // Every request completes (a failing one aborts the replay).
+        let requests = all_requests.len();
+
+        // Depth 1 never touches the calendar: with one request in flight at a
+        // time the backlog peaks at 1 and no arrival ever finds the system busy.
+        let (peak_queue_depth, busy_arrivals) = if TRACED {
+            (calendar.peak_outstanding(), calendar.busy_arrivals())
+        } else {
+            (usize::from(requests > 0), 0)
+        };
+        let (mode, queue_depth, offered_duration) = match self.discipline {
+            ArrivalDiscipline::ClosedLoop { queue_depth } => {
+                (ReplayMode::ClosedLoop, queue_depth, Nanos::ZERO)
+            }
+            // No queue-depth bound exists in open loop; 0 marks "unbounded".
+            ArrivalDiscipline::OpenLoop { rate_scale } => (
+                ReplayMode::OpenLoop { rate_scale },
+                0,
+                last_arrival.saturating_sub(first_arrival.unwrap_or(Nanos::ZERO)),
+            ),
+        };
+        let lane_summaries = states
+            .iter()
+            .enumerate()
+            .map(|(index, state)| {
+                let ftl = lanes.lane(index);
+                let end = *ftl.metrics();
+                let mut summary = RunSummary::from_metrics_delta(
+                    ftl.name(),
+                    trace.name(),
+                    &state.start_metrics,
+                    &end,
+                );
+                summary.device_makespan = makespan_delta(ftl, &state.busy_start);
+                summary.host_requests = state.requests;
+                summary.host_elapsed = state.last_completion;
+                summary.read_latency = state.read_latencies.percentiles();
+                summary.write_latency = state.write_latencies.percentiles();
+                summary.queue_delay = state.queue_delays.percentiles();
+                summary.service_time = state.service_times.percentiles();
+                summary.peak_queue_depth = peak_queue_depth;
+                summary.busy_arrivals = busy_arrivals;
+                summary.queue_depth = queue_depth;
+                summary.mode = mode;
+                // Zero in closed loop, where no lane ever records an arrival.
+                summary.offered_duration = state
+                    .last_arrival
+                    .saturating_sub(state.first_arrival.unwrap_or(Nanos::ZERO));
+                summary
+            })
+            .collect();
+        Ok(LanesSummary {
+            lanes: lane_summaries,
+            mode,
+            queue_depth,
+            host_requests: requests as u64,
+            host_elapsed: last_completion,
+            offered_duration,
+            peak_queue_depth,
+            busy_arrivals,
+        })
+    }
+}
+
+/// Turns op tracing on or off on every lane's device.
+fn set_op_tracing<L: Lanes + ?Sized>(lanes: &mut L, on: bool) {
+    for index in 0..lanes.width() {
+        lanes.lane_mut(index).device_mut().set_op_tracing(on);
     }
 }
 
 /// Snapshot of every chip's busy time, used to compute the measured-phase
 /// makespan as a delta (excluding prefill traffic).
-pub(crate) fn chip_busy_times<F: FlashTranslationLayer + ?Sized>(ftl: &F) -> Vec<Nanos> {
+fn chip_busy_times<F: FlashTranslationLayer + ?Sized>(ftl: &F) -> Vec<Nanos> {
     let device = ftl.device();
     (0..device.config().chips())
         .map(|chip| {
@@ -529,10 +819,7 @@ pub(crate) fn chip_busy_times<F: FlashTranslationLayer + ?Sized>(ftl: &F) -> Vec
 }
 
 /// The measured-phase makespan: largest per-chip busy-time delta since `start`.
-pub(crate) fn makespan_delta<F: FlashTranslationLayer + ?Sized>(
-    ftl: &F,
-    start: &[Nanos],
-) -> Nanos {
+fn makespan_delta<F: FlashTranslationLayer + ?Sized>(ftl: &F, start: &[Nanos]) -> Nanos {
     chip_busy_times(ftl)
         .iter()
         .zip(start)
@@ -541,32 +828,49 @@ pub(crate) fn makespan_delta<F: FlashTranslationLayer + ?Sized>(
         .unwrap_or(Nanos::ZERO)
 }
 
-/// Writes every logical page the trace touches exactly once (in ascending order),
-/// so later reads always find mapped data. Shared by every discipline, so any
-/// replay warms the device **identically** — a precondition for the bit-identity
-/// guarantees between disciplines.
+/// [`prefill_lanes`] for a single FTL.
+pub(crate) fn prefill_ftl<F: FlashTranslationLayer + ?Sized>(
+    ftl: &mut F,
+    trace: &Trace,
+    prefill_request_bytes: u32,
+) -> Result<(), FtlError> {
+    let page_size = ftl.device().config().page_size_bytes();
+    let pages = ftl.logical_pages();
+    prefill_lanes(&mut SingleLane(ftl), trace, page_size, pages, prefill_request_bytes)
+}
+
+/// Writes every keyspace page the trace touches exactly once, lane by lane in
+/// ascending device-page order, so later reads always find mapped data. Shared
+/// by every discipline, so any replay warms the devices **identically** — a
+/// precondition for the bit-identity guarantees between disciplines.
 ///
 /// Traces without a single read skip the warm-up entirely: the prefill exists
 /// only so reads of never-written data behave like reads of pre-existing data,
 /// and a write-only trace has none.
-pub(crate) fn prefill_ftl<F: FlashTranslationLayer + ?Sized>(
-    ftl: &mut F,
+fn prefill_lanes<L: Lanes + ?Sized>(
+    lanes: &mut L,
     trace: &Trace,
     page_size: usize,
-    logical_pages: u64,
+    pages: u64,
     prefill_request_bytes: u32,
 ) -> Result<(), FtlError> {
     if !trace.iter().any(|request| request.op == IoOp::Read) {
         return Ok(());
     }
-    let mut touched = PageBitmap::new(logical_pages);
+    let lane_pages = lanes.lane(0).logical_pages();
+    let mut touched: Vec<PageBitmap> =
+        (0..lanes.width()).map(|_| PageBitmap::new(lane_pages)).collect();
     for request in trace {
         for page in request.logical_pages(page_size) {
-            touched.set(page % logical_pages);
+            let (lane, offset) = lanes.locate(page % pages);
+            touched[lane].set(offset);
         }
     }
-    for page in touched.iter_set() {
-        ftl.write(Lpn(page), prefill_request_bytes)?;
+    for (lane, bitmap) in touched.iter().enumerate() {
+        let ftl = lanes.lane_mut(lane);
+        for page in bitmap.iter_set() {
+            ftl.write(Lpn(page), prefill_request_bytes)?;
+        }
     }
     Ok(())
 }
@@ -589,6 +893,10 @@ mod tests {
                 .unwrap(),
         );
         ConventionalFtl::new(device, FtlConfig::default()).unwrap()
+    }
+
+    fn serial() -> WorkloadDriver {
+        WorkloadDriver::closed_loop(RunOptions::default(), 1)
     }
 
     /// A read-back trace with arrivals spaced 1 ms apart.
@@ -773,5 +1081,168 @@ mod tests {
             WorkloadDriver::closed_loop(RunOptions::default(), 1).run(ftl(2), &trace).unwrap();
         assert_eq!(summary.queue_delay.max, Nanos::ZERO);
         assert_eq!(summary.read_latency, summary.service_time);
+    }
+
+    #[test]
+    fn writes_and_reads_are_counted_per_page() {
+        let trace = Trace::new(
+            "test",
+            vec![
+                IoRequest::new(0, IoOp::Write, 0, 8192), // 2 pages
+                IoRequest::new(1, IoOp::Read, 0, 4096),  // 1 page
+                IoRequest::new(2, IoOp::Read, 0, 12288), // 3 pages
+            ],
+        );
+        let summary = serial().run(ftl(1), &trace).unwrap();
+        assert_eq!(summary.host_writes, 2);
+        assert_eq!(summary.host_reads, 4);
+        assert_eq!(summary.trace, "test");
+        assert_eq!(summary.ftl, "conventional");
+    }
+
+    #[test]
+    fn prefill_makes_cold_reads_succeed_and_is_excluded_from_the_summary() {
+        // The trace reads offsets it never wrote.
+        let trace = Trace::new("cold", vec![IoRequest::new(0, IoOp::Read, 64 * 1024, 4096)]);
+        let summary = serial().run(ftl(1), &trace).unwrap();
+        assert_eq!(summary.host_reads, 1);
+        assert_eq!(summary.host_writes, 0, "warm-up writes must not be reported");
+    }
+
+    #[test]
+    fn without_prefill_unmapped_reads_are_skipped_at_any_depth() {
+        let trace = Trace::new(
+            "sparse",
+            vec![
+                IoRequest::new(0, IoOp::Read, 64 * 1024, 4096),
+                IoRequest::new(1, IoOp::Write, 0, 4096),
+                IoRequest::new(2, IoOp::Read, 0, 4096),
+            ],
+        );
+        let options = RunOptions { prefill: false, ..RunOptions::default() };
+        for depth in [1usize, 4] {
+            let summary = WorkloadDriver::closed_loop(options, depth).run(ftl(1), &trace).unwrap();
+            assert_eq!(summary.host_reads, 1, "QD{depth}: only the mapped read is served");
+            assert_eq!(summary.host_writes, 1);
+            assert_eq!(summary.host_requests, 3, "skipped requests still complete with zero work");
+        }
+    }
+
+    #[test]
+    fn offsets_beyond_logical_capacity_wrap_around() {
+        let device = ftl(1);
+        let capacity_bytes = device.logical_pages() * 4096;
+        let trace = Trace::new(
+            "wrap",
+            vec![IoRequest::new(0, IoOp::Write, capacity_bytes * 3 + 4096, 4096)],
+        );
+        let summary = serial().run(device, &trace).unwrap();
+        assert_eq!(summary.host_writes, 1);
+    }
+
+    #[test]
+    fn write_only_traces_skip_the_prefill_pass() {
+        let trace = Trace::new(
+            "writes",
+            vec![
+                IoRequest::new(0, IoOp::Write, 0, 8192),
+                IoRequest::new(1, IoOp::Write, 32 * 1024, 4096),
+            ],
+        );
+        let mut device = ftl(1);
+        let summary = serial().run_mut(&mut device, &trace).unwrap();
+        assert_eq!(summary.host_writes, 3);
+        // No warm-up traffic happened at all: the device saw exactly the trace's
+        // three page programs.
+        assert_eq!(device.device().stats().counts.programs, 3);
+    }
+
+    #[test]
+    fn summary_reports_the_measured_phase_makespan() {
+        let mut device = ftl(1);
+        let trace = Trace::new(
+            "makespan",
+            vec![
+                IoRequest::new(0, IoOp::Write, 0, 4 * 4096),
+                IoRequest::new(1, IoOp::Read, 0, 4096),
+            ],
+        );
+        let summary = serial().run_mut(&mut device, &trace).unwrap();
+        // Single-chip device: the makespan equals the serial host latency.
+        assert_eq!(summary.device_makespan, summary.read_time + summary.write_time);
+        assert!(summary.host_ops_per_sec() > 0.0);
+        // A second replay reports only its own makespan, not cumulative time.
+        let again = serial().run_mut(&mut device, &trace).unwrap();
+        assert!(again.device_makespan < summary.device_makespan * 2);
+        assert!(again.device_makespan > Nanos::ZERO);
+    }
+
+    #[test]
+    fn run_mut_allows_back_to_back_traces_on_an_aged_device() {
+        let mut device = ftl(1);
+        let first = Trace::new("first", vec![IoRequest::new(0, IoOp::Write, 0, 16 * 4096)]);
+        let second = Trace::new("second", vec![IoRequest::new(0, IoOp::Read, 0, 4096)]);
+        let s1 = serial().run_mut(&mut device, &first).unwrap();
+        let s2 = serial().run_mut(&mut device, &second).unwrap();
+        assert_eq!(s1.host_writes, 16);
+        assert_eq!(s2.host_reads, 1);
+        assert_eq!(s2.host_writes, 0);
+    }
+
+    #[test]
+    fn deeper_queues_overlap_chips_and_cut_elapsed_time() {
+        let trace = paced_trace(256, 1);
+        let qd1 = serial().run(ftl(4), &trace).unwrap();
+        let qd16 = WorkloadDriver::closed_loop(RunOptions::default(), 16)
+            .run(ftl(4), &trace)
+            .unwrap();
+        // Identical device-state evolution...
+        assert_eq!(qd1.host_reads, qd16.host_reads);
+        assert_eq!(qd1.read_time, qd16.read_time);
+        assert_eq!(qd1.device_makespan, qd16.device_makespan);
+        // ...but the queued overlay finishes sooner and serves more IOPS.
+        assert!(
+            qd16.host_elapsed < qd1.host_elapsed,
+            "QD16 {} should beat QD1 {}",
+            qd16.host_elapsed,
+            qd1.host_elapsed
+        );
+        assert!(qd16.request_iops() > qd1.request_iops());
+        // The overlay can never beat the busiest chip.
+        assert!(qd16.host_elapsed >= qd16.device_makespan);
+    }
+
+    #[test]
+    fn queued_latencies_include_chip_queuing_delay() {
+        // Single chip: depth adds pure queuing delay, so per-request p99 grows
+        // with depth while elapsed stays the serial sum.
+        let trace = paced_trace(128, 1);
+        let qd1 = serial().run(ftl(1), &trace).unwrap();
+        let qd8 =
+            WorkloadDriver::closed_loop(RunOptions::default(), 8).run(ftl(1), &trace).unwrap();
+        assert_eq!(qd1.host_elapsed, qd8.host_elapsed, "one chip cannot overlap anything");
+        assert!(
+            qd8.read_latency.p99 > qd1.read_latency.p99,
+            "queuing on one chip must inflate tail latency ({} vs {})",
+            qd8.read_latency.p99,
+            qd1.read_latency.p99
+        );
+        // The queueing-delay/service-time split names the cause: service times
+        // are depth-invariant, the delay is what grew.
+        assert_eq!(qd1.service_time, qd8.service_time);
+        assert!(qd8.queue_delay.p99 > qd1.queue_delay.p99);
+    }
+
+    #[test]
+    fn tracing_is_disabled_after_the_run() {
+        let trace = paced_trace(16, 1);
+        for driver in [
+            WorkloadDriver::closed_loop(RunOptions::default(), 4),
+            WorkloadDriver::open_loop(RunOptions::default(), 1.0),
+        ] {
+            let mut device = ftl(2);
+            driver.run_mut(&mut device, &trace).unwrap();
+            assert!(!device.device().op_tracing());
+        }
     }
 }

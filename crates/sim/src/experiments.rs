@@ -20,7 +20,7 @@ use vflash_trace::synthetic::{self, ArrivalModel, SyntheticConfig};
 use vflash_trace::Trace;
 
 use crate::engine::{prefill_ftl, ArrivalDiscipline, RunOptions, WorkloadDriver};
-use crate::replay::Replayer;
+use crate::parallel::FtlKind;
 use crate::report::{Comparison, RunSummary};
 
 /// The speed-difference sweep used throughout the evaluation (2x to 5x).
@@ -282,101 +282,39 @@ impl Default for ExperimentScale {
     }
 }
 
-fn replayer() -> Replayer {
-    Replayer::new(RunOptions::default())
+/// The serial discipline of the paper's figures: closed loop at depth 1.
+const SERIAL: ArrivalDiscipline = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
+
+/// A serial driver with the default options.
+fn serial() -> WorkloadDriver {
+    WorkloadDriver::new(RunOptions::default(), SERIAL)
 }
 
-/// Replays an FTL under an arrival discipline through the unified
-/// [`WorkloadDriver`] (which picks the untraced serial path at closed-loop
-/// depth 1 by itself).
-fn replay_driven<F: vflash_ftl::FlashTranslationLayer>(
-    ftl: F,
-    trace: &Trace,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
-    WorkloadDriver::new(RunOptions::default(), discipline).run(ftl, trace)
-}
-
-
-/// Replays `trace` against the conventional FTL on a device built from `config`.
+/// Replays `trace` under `discipline` against a fresh FTL of `kind` (default
+/// configuration; PPB with its default classifier) on a device built from
+/// `config`.
 ///
 /// # Errors
 ///
 /// Propagates FTL construction and replay errors.
-pub fn run_conventional(trace: &Trace, config: &NandConfig) -> Result<RunSummary, FtlError> {
-    run_conventional_at_depth(trace, config, 1)
-}
-
-/// Like [`run_conventional`], at an explicit queue depth.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_conventional_at_depth(
-    trace: &Trace,
-    config: &NandConfig,
-    queue_depth: usize,
-) -> Result<RunSummary, FtlError> {
-    run_conventional_driven(trace, config, ArrivalDiscipline::ClosedLoop { queue_depth })
-}
-
-/// Like [`run_conventional`], under an explicit arrival discipline (closed loop at
-/// any depth, or open loop at a rate scale).
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_conventional_driven(
+pub fn run(
+    kind: FtlKind,
     trace: &Trace,
     config: &NandConfig,
     discipline: ArrivalDiscipline,
 ) -> Result<RunSummary, FtlError> {
-    let ftl = ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
-    replay_driven(ftl, trace, discipline)
+    let driver = WorkloadDriver::new(RunOptions::default(), discipline);
+    let device = NandDevice::new(config.clone());
+    match kind {
+        FtlKind::Conventional => {
+            driver.run(ConventionalFtl::new(device, FtlConfig::default())?, trace)
+        }
+        FtlKind::Ppb => driver.run(PpbFtl::new(device, PpbConfig::default())?, trace),
+    }
 }
 
-/// Replays `trace` against the PPB FTL (default configuration and classifier) on a
-/// device built from `config`.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_ppb(trace: &Trace, config: &NandConfig) -> Result<RunSummary, FtlError> {
-    run_ppb_with(trace, config, PpbConfig::default(), Classifier::SizeCheck)
-}
-
-/// Like [`run_ppb`], at an explicit queue depth. Shares [`run_ppb_with`]'s
-/// construction path, so the defaults (configuration and classifier) can never
-/// diverge between the serial figures and the queue-depth/grid rows.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_ppb_at_depth(
-    trace: &Trace,
-    config: &NandConfig,
-    queue_depth: usize,
-) -> Result<RunSummary, FtlError> {
-    run_ppb_driven(trace, config, ArrivalDiscipline::ClosedLoop { queue_depth })
-}
-
-/// Like [`run_ppb`], under an explicit arrival discipline. Shares
-/// [`run_ppb_with`]'s construction path, so the defaults can never diverge
-/// between the serial figures and the open-loop/grid rows.
-///
-/// # Errors
-///
-/// Propagates FTL construction and replay errors.
-pub fn run_ppb_driven(
-    trace: &Trace,
-    config: &NandConfig,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
-    run_ppb_with_driven(trace, config, PpbConfig::default(), Classifier::SizeCheck, discipline)
-}
-
-/// Replays `trace` against the PPB FTL with an explicit configuration and first-stage
-/// classifier. Used by the ablation benches.
+/// Replays `trace` serially against the PPB FTL with an explicit configuration
+/// and first-stage classifier. Used by the ablation sweeps and benches.
 ///
 /// # Errors
 ///
@@ -387,33 +325,21 @@ pub fn run_ppb_with(
     ppb: PpbConfig,
     classifier: Classifier,
 ) -> Result<RunSummary, FtlError> {
-    run_ppb_with_driven(trace, config, ppb, classifier, ArrivalDiscipline::ClosedLoop {
-        queue_depth: 1,
-    })
-}
-
-/// The single construction + replay path every `run_ppb*` helper funnels into.
-fn run_ppb_with_driven(
-    trace: &Trace,
-    config: &NandConfig,
-    ppb: PpbConfig,
-    classifier: Classifier,
-    discipline: ArrivalDiscipline,
-) -> Result<RunSummary, FtlError> {
+    let driver = serial();
     let device = NandDevice::new(config.clone());
     match classifier {
-        Classifier::SizeCheck => replay_driven(PpbFtl::new(device, ppb)?, trace, discipline),
+        Classifier::SizeCheck => driver.run(PpbFtl::new(device, ppb)?, trace),
         Classifier::TwoLevelLru => {
             let lru = TwoLevelLru::new(4096, 4096);
-            replay_driven(PpbFtl::with_classifier(device, ppb, lru)?, trace, discipline)
+            driver.run(PpbFtl::with_classifier(device, ppb, lru)?, trace)
         }
         Classifier::FreqTable => {
             let table = FreqTable::new(2, 100_000);
-            replay_driven(PpbFtl::with_classifier(device, ppb, table)?, trace, discipline)
+            driver.run(PpbFtl::with_classifier(device, ppb, table)?, trace)
         }
         Classifier::MultiHash => {
             let sketch = MultiHash::new(1 << 16, 2, 2, 100_000);
-            replay_driven(PpbFtl::with_classifier(device, ppb, sketch)?, trace, discipline)
+            driver.run(PpbFtl::with_classifier(device, ppb, sketch)?, trace)
         }
     }
 }
@@ -443,8 +369,8 @@ pub fn compare(
 ///
 /// Propagates FTL construction and replay errors.
 pub fn compare_trace(trace: &Trace, config: &NandConfig) -> Result<Comparison, FtlError> {
-    let baseline = run_conventional(trace, config)?;
-    let variant = run_ppb(trace, config)?;
+    let baseline = run(FtlKind::Conventional, trace, config, SERIAL)?;
+    let variant = run(FtlKind::Ppb, trace, config, SERIAL)?;
     Ok(Comparison::new(baseline, variant))
 }
 
@@ -600,8 +526,8 @@ pub fn rate_scale_sweep_for_trace(
         let discipline = ArrivalDiscipline::OpenLoop { rate_scale };
         rows.push(RateScaleRow {
             rate_scale,
-            conventional: run_conventional_driven(trace, &config, discipline)?,
-            ppb: run_ppb_driven(trace, &config, discipline)?,
+            conventional: run(FtlKind::Conventional, trace, &config, discipline)?,
+            ppb: run(FtlKind::Ppb, trace, &config, discipline)?,
         });
     }
     Ok(rows)
@@ -633,7 +559,12 @@ pub fn burst_sweep_mean_iops(
     scale: &ExperimentScale,
 ) -> Result<f64, FtlError> {
     let config = scale.device_config(16 * 1024, 2.0);
-    let saturated = run_conventional_at_depth(&workload.trace(scale), &config, 64)?;
+    let saturated = run(
+        FtlKind::Conventional,
+        &workload.trace(scale),
+        &config,
+        ArrivalDiscipline::ClosedLoop { queue_depth: 64 },
+    )?;
     Ok(saturated.request_iops() * BURST_SATURATION_FRACTION)
 }
 
@@ -679,8 +610,8 @@ pub fn burst_sweep_at(
         let trace = workload.trace_with_arrival(scale, arrival);
         rows.push(BurstRow {
             arrival,
-            conventional: run_conventional_driven(&trace, &config, discipline)?,
-            ppb: run_ppb_driven(&trace, &config, discipline)?,
+            conventional: run(FtlKind::Conventional, &trace, &config, discipline)?,
+            ppb: run(FtlKind::Ppb, &trace, &config, discipline)?,
         });
     }
     Ok(rows)
@@ -729,7 +660,7 @@ pub fn ablation_virtual_blocks(
 ) -> Result<Vec<(usize, f64)>, FtlError> {
     let trace = workload.trace(scale);
     let config = scale.device_config(16 * 1024, 4.0);
-    let baseline = run_conventional(&trace, &config)?;
+    let baseline = run(FtlKind::Conventional, &trace, &config, SERIAL)?;
     let mut rows = Vec::new();
     for virtual_blocks in [1usize, 2, 4] {
         let ppb_config = PpbConfig {
@@ -773,10 +704,11 @@ pub fn queue_depth_sweep(
     let config = scale.device_config(16 * 1024, 2.0);
     let mut rows = Vec::new();
     for &queue_depth in &QUEUE_DEPTHS {
+        let discipline = ArrivalDiscipline::ClosedLoop { queue_depth };
         rows.push(QueueDepthRow {
             queue_depth,
-            conventional: run_conventional_at_depth(&trace, &config, queue_depth)?,
-            ppb: run_ppb_at_depth(&trace, &config, queue_depth)?,
+            conventional: run(FtlKind::Conventional, &trace, &config, discipline)?,
+            ppb: run(FtlKind::Ppb, &trace, &config, discipline)?,
         });
     }
     Ok(rows)
@@ -879,11 +811,11 @@ pub fn erase_count_by_policy(scale: &ExperimentScale) -> Result<Vec<PolicyEraseR
             let mut conventional =
                 ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
             conventional.set_victim_policy(policy.build());
-            let baseline = replayer().run(conventional, &trace)?;
+            let baseline = serial().run(conventional, &trace)?;
 
             let mut ppb = PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default())?;
             ppb.set_victim_policy(policy.build());
-            let variant = replayer().run(ppb, &trace)?;
+            let variant = serial().run(ppb, &trace)?;
 
             rows.push(PolicyEraseRow {
                 workload,
@@ -955,11 +887,11 @@ pub fn fault_sweep(scale: &ExperimentScale) -> Result<Vec<FaultRow>, FtlError> {
             let mut conventional =
                 ConventionalFtl::new(NandDevice::new(config.clone()), FtlConfig::default())?;
             conventional.set_victim_policy(policy.build());
-            let baseline = replayer().run(conventional, &trace)?;
+            let baseline = serial().run(conventional, &trace)?;
 
             let mut ppb = PpbFtl::new(NandDevice::new(config.clone()), PpbConfig::default())?;
             ppb.set_victim_policy(policy.build());
-            let variant = replayer().run(ppb, &trace)?;
+            let variant = serial().run(ppb, &trace)?;
 
             rows.push(FaultRow { rber_scale, policy, conventional: baseline, ppb: variant });
         }
@@ -1061,7 +993,7 @@ pub fn ablation_classifier(
 ) -> Result<Vec<(Classifier, f64)>, FtlError> {
     let trace = workload.trace(scale);
     let config = scale.device_config(16 * 1024, 4.0);
-    let baseline = run_conventional(&trace, &config)?;
+    let baseline = run(FtlKind::Conventional, &trace, &config, SERIAL)?;
     let mut rows = Vec::new();
     for classifier in Classifier::ALL {
         let variant = run_ppb_with(&trace, &config, PpbConfig::default(), classifier)?;
@@ -1174,10 +1106,8 @@ fn sensitivity_run<F: FlashTranslationLayer>(
     trace: &Trace,
     split: usize,
 ) -> Result<RunSummary, FtlError> {
-    let page_size = ftl.device().config().page_size_bytes();
-    let logical_pages = ftl.logical_pages();
     let options = RunOptions::default();
-    prefill_ftl(&mut ftl, trace, page_size, logical_pages, options.prefill_request_bytes)?;
+    prefill_ftl(&mut ftl, trace, options.prefill_request_bytes)?;
     let driver =
         WorkloadDriver::closed_loop(RunOptions { prefill: false, ..options }, 1);
     if split > 0 {

@@ -7,15 +7,17 @@
 //!
 //! * [`WorkloadDriver`] — **the** replay engine: one drive loop over an
 //!   [`ArrivalDiscipline`], either closed-loop (keep `queue_depth` requests in
-//!   flight — saturation replay) or open-loop (issue each request at its
-//!   trace-recorded arrival time scaled by `rate_scale` — latency under load,
-//!   with per-request queueing delay separated from service time). Byte ranges
-//!   are translated into logical pages, and the address space is optionally
-//!   pre-filled so reads of never-written data behave like reads of pre-existing
-//!   data (the standard warm-up used by trace-driven flash simulators).
-//! * [`Replayer`] / [`QueuedReplayer`] — thin compatibility wrappers over the
-//!   engine: the serial (closed-loop depth 1) replayer of the paper's figures,
-//!   and the queue-depth variant. At QD 1 they are bit-identical.
+//!   flight — saturation replay; depth 1 is the serial replay of the paper's
+//!   figures) or open-loop (issue each request at its trace-recorded arrival
+//!   time scaled by `rate_scale` — latency under load, with per-request
+//!   queueing delay separated from service time). Byte ranges are translated
+//!   into logical pages, and the address space is optionally pre-filled so
+//!   reads of never-written data behave like reads of pre-existing data (the
+//!   standard warm-up used by trace-driven flash simulators). The same loop
+//!   drives any set of [`Lanes`] behind a [`HostTier`] hook
+//!   ([`WorkloadDriver::run_lanes`]): a single FTL is the width-1 case, and the
+//!   `vflash-fleet` crate runs its striped devices, writeback cache and tenant
+//!   queues on it.
 //! * [`RunSummary`] / [`Comparison`] — the measurements the paper reports: total and
 //!   mean read/write latency, erased-block counts, GC copies and write amplification,
 //!   plus enhancement percentages between a baseline and a variant — and, from the
@@ -45,7 +47,7 @@
 //! ```
 //! use vflash_ftl::{ConventionalFtl, FtlConfig};
 //! use vflash_nand::{NandConfig, NandDevice};
-//! use vflash_sim::{Replayer, RunOptions};
+//! use vflash_sim::{RunOptions, WorkloadDriver};
 //! use vflash_trace::synthetic::{self, SyntheticConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,7 +65,7 @@
 //!         .build()?,
 //! );
 //! let ftl = ConventionalFtl::new(device, FtlConfig::default())?;
-//! let summary = Replayer::new(RunOptions::default()).run(ftl, &trace)?;
+//! let summary = WorkloadDriver::closed_loop(RunOptions::default(), 1).run(ftl, &trace)?;
 //! assert!(summary.host_reads > 0);
 //! # Ok(())
 //! # }
@@ -78,13 +80,9 @@ mod calendar;
 mod engine;
 mod histogram;
 mod parallel;
-mod queued;
-mod replay;
 mod report;
 
-pub use engine::{ArrivalDiscipline, RunOptions, WorkloadDriver};
+pub use engine::{ArrivalDiscipline, HostTier, Lanes, LanesSummary, RunOptions, WorkloadDriver};
 pub use histogram::{LatencyHistogram, LatencyPercentiles};
 pub use parallel::{run_cell, CellResult, ExperimentGrid, FtlKind, GridCell, ParallelRunner};
-pub use queued::QueuedReplayer;
-pub use replay::Replayer;
 pub use report::{Comparison, ReplayMode, RunSummary};

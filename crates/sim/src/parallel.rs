@@ -26,8 +26,8 @@ use vflash_trace::synthetic::ArrivalModel;
 
 use crate::engine::ArrivalDiscipline;
 use crate::experiments::{
-    burst_axis, grid_burst_mean_iops, run_conventional_driven, run_ppb_driven, ExperimentScale,
-    Workload, FLEET_SIZES, QUEUE_DEPTHS, RATE_SCALES,
+    burst_axis, grid_burst_mean_iops, run, ExperimentScale, Workload, FLEET_SIZES, QUEUE_DEPTHS,
+    RATE_SCALES,
 };
 use crate::report::RunSummary;
 
@@ -310,10 +310,7 @@ pub fn run_cell(cell: &GridCell, grid: &ExperimentGrid) -> Result<CellResult, Ft
     if let Some(faults) = grid.faults {
         config = config.with_faults(faults)?;
     }
-    let summary = match cell.ftl {
-        FtlKind::Conventional => run_conventional_driven(&trace, &config, cell.discipline)?,
-        FtlKind::Ppb => run_ppb_driven(&trace, &config, cell.discipline)?,
-    };
+    let summary = run(cell.ftl, &trace, &config, cell.discipline)?;
     Ok(CellResult { cell: *cell, summary })
 }
 

@@ -66,9 +66,9 @@ pub struct RunSummary {
     /// [`Nanos::ZERO`] when the summary was not produced by a replay.
     pub device_makespan: Nanos,
     /// The queue depth the replay was driven at: how many host requests were kept
-    /// in flight. `1` for the serial [`Replayer`](crate::Replayer); the configured
-    /// depth for [`QueuedReplayer`](crate::QueuedReplayer) runs; `0` for open-loop
-    /// runs, where nothing bounds the number of outstanding requests.
+    /// in flight: the configured closed-loop depth (`1` for the serial replay of
+    /// the paper's figures); `0` for open-loop runs, where nothing bounds the
+    /// number of outstanding requests.
     pub queue_depth: usize,
     /// The arrival discipline the replay was driven under (closed loop by
     /// default; open loop carries its rate scale).

@@ -8,8 +8,8 @@
 
 use std::error::Error;
 
-use vflash::sim::experiments::{run_conventional, run_ppb, ExperimentScale, Workload};
-use vflash::sim::Comparison;
+use vflash::sim::experiments::{run, ExperimentScale, Workload};
+use vflash::sim::{ArrivalDiscipline, Comparison, FtlKind};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -36,8 +36,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.capacity_bytes() as f64 / (1024.0 * 1024.0),
     );
 
-    let baseline = run_conventional(&trace, &config)?;
-    let variant = run_ppb(&trace, &config)?;
+    let serial = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
+    let baseline = run(FtlKind::Conventional, &trace, &config, serial)?;
+    let variant = run(FtlKind::Ppb, &trace, &config, serial)?;
     println!("conventional FTL : {baseline}");
     println!("FTL with PPB     : {variant}");
 

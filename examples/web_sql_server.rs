@@ -11,10 +11,8 @@
 use std::error::Error;
 
 use vflash::ppb::PpbConfig;
-use vflash::sim::experiments::{
-    run_conventional, run_ppb, run_ppb_with, Classifier, ExperimentScale, Workload,
-};
-use vflash::sim::Comparison;
+use vflash::sim::experiments::{run, run_ppb_with, Classifier, ExperimentScale, Workload};
+use vflash::sim::{ArrivalDiscipline, Comparison, FtlKind};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let scale = ExperimentScale {
@@ -40,10 +38,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         config.page_size_bytes() / 1024,
     );
 
-    let baseline = run_conventional(&trace, &config)?;
+    let serial = ArrivalDiscipline::ClosedLoop { queue_depth: 1 };
+    let baseline = run(FtlKind::Conventional, &trace, &config, serial)?;
     println!("conventional FTL           : {baseline}");
 
-    let ppb_size_check = run_ppb(&trace, &config)?;
+    let ppb_size_check = run(FtlKind::Ppb, &trace, &config, serial)?;
     println!("PPB (size-check stage)     : {ppb_size_check}");
 
     let ppb_lru = run_ppb_with(&trace, &config, PpbConfig::default(), Classifier::TwoLevelLru)?;

@@ -1,7 +1,7 @@
 //! The refactor contract of the unified workload-driver engine.
 //!
-//! The serial `Replayer` and the event-driven `QueuedReplayer` used to be two
-//! separate drive loops; both are now thin wrappers over `WorkloadDriver`. This
+//! The serial replayer and the event-driven queued replayer used to be two
+//! separate drive loops; both are now closed-loop `WorkloadDriver`s. This
 //! suite keeps verbatim **reference implementations of the pre-refactor loops**
 //! and proves the engine reproduces them bit-for-bit:
 //!
@@ -11,7 +11,9 @@
 //! * and the new discipline behaves sanely at its limits: `OpenLoop` with
 //!   `rate_scale → ∞` converges exactly to closed-loop saturation throughput,
 //!   and at `rate_scale = 1` it reports queueing delay and service time
-//!   separately with achieved IOPS ≤ offered IOPS.
+//!   separately with achieved IOPS ≤ offered IOPS,
+//! * and queue depth pays off: QD 64 on 8 chips outruns QD 1, while the device
+//!   work is the same at every depth.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,9 +25,7 @@ use vflash::ftl::{
 };
 use vflash::nand::{ChipId, NandConfig, NandDevice, Nanos};
 use vflash::ppb::{PpbConfig, PpbFtl};
-use vflash::sim::{
-    LatencyHistogram, QueuedReplayer, Replayer, RunOptions, RunSummary, WorkloadDriver,
-};
+use vflash::sim::{LatencyHistogram, RunOptions, RunSummary, WorkloadDriver};
 use vflash::trace::synthetic::{self, SkewedParams, SyntheticConfig};
 use vflash::trace::{IoOp, Trace};
 
@@ -48,6 +48,11 @@ fn conventional(chips: usize) -> ConventionalFtl {
 
 fn ppb(chips: usize) -> PpbFtl {
     PpbFtl::new(device(chips), PpbConfig::default()).unwrap()
+}
+
+/// The engine under test: a closed-loop driver with the default options.
+fn closed_loop(queue_depth: usize) -> WorkloadDriver {
+    WorkloadDriver::closed_loop(RunOptions::default(), queue_depth)
 }
 
 /// The pre-refactor prefill pass (identical semantics to the engine's: every
@@ -289,9 +294,7 @@ fn closed_loop_depth_1_reproduces_the_pre_refactor_serial_replayer() {
             let mut engine_ftl = conventional(chips);
             let reference =
                 reference_serial(&mut reference_ftl, &trace, RunOptions::default()).unwrap();
-            let engine = Replayer::new(RunOptions::default())
-                .run_mut(&mut engine_ftl, &trace)
-                .unwrap();
+            let engine = closed_loop(1).run_mut(&mut engine_ftl, &trace).unwrap();
             assert_reproduces_reference(
                 (&reference, &reference_ftl),
                 (&engine, &engine_ftl),
@@ -302,9 +305,7 @@ fn closed_loop_depth_1_reproduces_the_pre_refactor_serial_replayer() {
             let mut engine_ppb = ppb(chips);
             let reference =
                 reference_serial(&mut reference_ppb, &trace, RunOptions::default()).unwrap();
-            let engine = Replayer::new(RunOptions::default())
-                .run_mut(&mut engine_ppb, &trace)
-                .unwrap();
+            let engine = closed_loop(1).run_mut(&mut engine_ppb, &trace).unwrap();
             assert_reproduces_reference(
                 (&reference, &reference_ppb),
                 (&engine, &engine_ppb),
@@ -324,9 +325,7 @@ fn closed_loop_depth_n_reproduces_the_pre_refactor_queued_replayer() {
             let reference =
                 reference_queued(&mut reference_ftl, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
-                .run_mut(&mut engine_ftl, &trace)
-                .unwrap();
+            let engine = closed_loop(depth).run_mut(&mut engine_ftl, &trace).unwrap();
             assert_reproduces_reference(
                 (&reference, &reference_ftl),
                 (&engine, &engine_ftl),
@@ -338,9 +337,7 @@ fn closed_loop_depth_n_reproduces_the_pre_refactor_queued_replayer() {
             let reference =
                 reference_queued(&mut reference_ppb, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
-                .run_mut(&mut engine_ppb, &trace)
-                .unwrap();
+            let engine = closed_loop(depth).run_mut(&mut engine_ppb, &trace).unwrap();
             assert_reproduces_reference(
                 (&reference, &reference_ppb),
                 (&engine, &engine_ppb),
@@ -366,7 +363,7 @@ fn no_prefill_paths_also_reproduce_the_references() {
     let mut reference_ftl = conventional(2);
     let mut engine_ftl = conventional(2);
     let reference = reference_serial(&mut reference_ftl, &trace, options).unwrap();
-    let engine = Replayer::new(options).run_mut(&mut engine_ftl, &trace).unwrap();
+    let engine = WorkloadDriver::closed_loop(options, 1).run_mut(&mut engine_ftl, &trace).unwrap();
     assert_reproduces_reference(
         (&reference, &reference_ftl),
         (&engine, &engine_ftl),
@@ -376,7 +373,7 @@ fn no_prefill_paths_also_reproduce_the_references() {
     let mut reference_ftl = conventional(2);
     let mut engine_ftl = conventional(2);
     let reference = reference_queued(&mut reference_ftl, &trace, options, 8).unwrap();
-    let engine = QueuedReplayer::new(options, 8).run_mut(&mut engine_ftl, &trace).unwrap();
+    let engine = WorkloadDriver::closed_loop(options, 8).run_mut(&mut engine_ftl, &trace).unwrap();
     assert_reproduces_reference(
         (&reference, &reference_ftl),
         (&engine, &engine_ftl),
@@ -404,9 +401,7 @@ fn open_loop_at_infinite_rate_converges_to_closed_loop_saturation() {
     let open = WorkloadDriver::open_loop(RunOptions::default(), infinite)
         .run(conventional(8), &trace)
         .unwrap();
-    let saturated = QueuedReplayer::new(RunOptions::default(), trace.len())
-        .run(conventional(8), &trace)
-        .unwrap();
+    let saturated = closed_loop(trace.len()).run(conventional(8), &trace).unwrap();
     assert_eq!(
         open.host_elapsed, saturated.host_elapsed,
         "all-at-once arrivals must pack exactly like an unbounded closed loop"
@@ -452,6 +447,48 @@ fn open_loop_at_unit_rate_reports_the_queueing_split() {
     }
 }
 
+/// The queue-depth acceptance criterion: on an 8-chip device, QD 64 beats QD 1
+/// on a read-heavy trace, and the percentile fields are populated.
+#[test]
+fn qd64_on_8_chips_outruns_qd1_on_a_read_heavy_trace() {
+    let trace = synthetic::skewed(
+        SyntheticConfig {
+            requests: 4_000,
+            seed: 11,
+            working_set_bytes: 4 * 1024 * 1024,
+            ..Default::default()
+        },
+        SkewedParams {
+            read_ratio: 0.9,
+            min_request_bytes: 4096,
+            max_request_bytes: 4096,
+            ..SkewedParams::default()
+        },
+    );
+    let qd1 = closed_loop(1).run(conventional(8), &trace).unwrap();
+    let qd64 = closed_loop(64).run(conventional(8), &trace).unwrap();
+
+    assert_eq!(qd1.queue_depth, 1);
+    assert_eq!(qd64.queue_depth, 64);
+    // Same device work at both depths; only the timing overlay differs.
+    assert_eq!(qd1.host_reads, qd64.host_reads);
+    assert_eq!(qd1.erased_blocks, qd64.erased_blocks);
+    assert!(
+        qd64.request_iops() > qd1.request_iops() * 2.0,
+        "QD64 should clearly outrun QD1 on 8 chips: {} vs {} IOPS",
+        qd64.request_iops(),
+        qd1.request_iops()
+    );
+    for summary in [&qd1, &qd64] {
+        let read = &summary.read_latency;
+        assert!(read.p50 > Nanos::ZERO);
+        assert!(read.p50 <= read.p95 && read.p95 <= read.p99 && read.p99 <= read.max);
+        assert!(summary.request_iops() > 0.0);
+    }
+    // Depth trades tail latency for throughput.
+    assert!(qd64.read_latency.p99 >= qd1.read_latency.p99);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -476,7 +513,7 @@ proptest! {
         let mut reference_ftl = conventional(chips);
         let mut engine_ftl = conventional(chips);
         let reference = reference_serial(&mut reference_ftl, &trace, RunOptions::default()).unwrap();
-        let engine = Replayer::new(RunOptions::default()).run_mut(&mut engine_ftl, &trace).unwrap();
+        let engine = closed_loop(1).run_mut(&mut engine_ftl, &trace).unwrap();
         prop_assert_eq!(&reference.read_latency, &engine.read_latency);
         prop_assert_eq!(reference.host_elapsed, engine.host_elapsed);
         prop_assert_eq!(reference.host_requests, engine.host_requests);
@@ -519,9 +556,7 @@ proptest! {
             let reference =
                 reference_queued(&mut reference_ftl, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
-                .run_mut(&mut engine_ftl, &trace)
-                .unwrap();
+            let engine = closed_loop(depth).run_mut(&mut engine_ftl, &trace).unwrap();
             assert_reproduces_reference(
                 (&reference, &reference_ftl),
                 (&engine, &engine_ftl),
@@ -533,9 +568,7 @@ proptest! {
             let reference =
                 reference_queued(&mut reference_ftl, &trace, RunOptions::default(), depth)
                     .unwrap();
-            let engine = QueuedReplayer::new(RunOptions::default(), depth)
-                .run_mut(&mut engine_ftl, &trace)
-                .unwrap();
+            let engine = closed_loop(depth).run_mut(&mut engine_ftl, &trace).unwrap();
             assert_reproduces_reference(
                 (&reference, &reference_ftl),
                 (&engine, &engine_ftl),
@@ -561,7 +594,7 @@ proptest! {
             },
             SkewedParams::default(),
         );
-        let closed = Replayer::new(RunOptions::default()).run(conventional(4), &trace).unwrap();
+        let closed = closed_loop(1).run(conventional(4), &trace).unwrap();
         let open = WorkloadDriver::open_loop(RunOptions::default(), rate_scale)
             .run(conventional(4), &trace)
             .unwrap();
@@ -576,5 +609,35 @@ proptest! {
         prop_assert!(open.request_iops() <= open.offered_iops());
         prop_assert!(open.host_elapsed >= open.offered_duration);
         prop_assert!(open.host_elapsed >= open.device_makespan);
+    }
+
+    /// At any depth, device-visible work is identical to the serial replay; only
+    /// timing differs. (The timing overlay must never change what the FTL does.)
+    #[test]
+    fn any_depth_preserves_device_state_evolution(
+        depth in 1usize..80,
+        seed in 0u64..1_000,
+    ) {
+        let trace = synthetic::skewed(
+            SyntheticConfig {
+                requests: 300,
+                seed,
+                working_set_bytes: 1024 * 1024,
+                ..Default::default()
+            },
+            SkewedParams::default(),
+        );
+        let serial = closed_loop(1).run(conventional(4), &trace).unwrap();
+        let queued = closed_loop(depth).run(conventional(4), &trace).unwrap();
+        prop_assert_eq!(serial.host_reads, queued.host_reads);
+        prop_assert_eq!(serial.host_writes, queued.host_writes);
+        prop_assert_eq!(serial.read_time, queued.read_time);
+        prop_assert_eq!(serial.write_time, queued.write_time);
+        prop_assert_eq!(serial.erased_blocks, queued.erased_blocks);
+        prop_assert_eq!(serial.device_makespan, queued.device_makespan);
+        // The overlay is bounded below by the busiest chip and above by the
+        // serial sum.
+        prop_assert!(queued.host_elapsed >= queued.device_makespan);
+        prop_assert!(queued.host_elapsed <= serial.host_elapsed);
     }
 }
