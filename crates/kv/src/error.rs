@@ -23,6 +23,15 @@ pub enum KvError {
     /// On-flash data failed validation (bad magic, checksum mismatch,
     /// truncated structure). Carries a human-readable description.
     Corruption(String),
+    /// A write's key is longer than
+    /// [`MAX_KEY_BYTES`](crate::MAX_KEY_BYTES); nothing was written.
+    KeyTooLong {
+        /// The key's length in bytes.
+        len: usize,
+    },
+    /// A [`KvConfig`](crate::KvConfig) knob is out of range; names the knob
+    /// and its range.
+    InvalidConfig(&'static str),
     /// Any other FTL failure, passed through.
     Ftl(FtlError),
 }
@@ -33,6 +42,12 @@ impl fmt::Display for KvError {
             KvError::ReadOnly => write!(f, "device is in read-only end-of-life mode"),
             KvError::OutOfSpace => write!(f, "out of flash capacity"),
             KvError::Corruption(reason) => write!(f, "on-flash corruption: {reason}"),
+            KvError::KeyTooLong { len } => write!(
+                f,
+                "key of {len} bytes exceeds the {}-byte limit",
+                crate::MAX_KEY_BYTES
+            ),
+            KvError::InvalidConfig(reason) => write!(f, "invalid KV configuration: {reason}"),
             KvError::Ftl(error) => write!(f, "FTL error: {error}"),
         }
     }

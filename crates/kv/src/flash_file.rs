@@ -83,6 +83,12 @@ impl SegmentFile {
         self.len = 0;
     }
 
+    /// Writes the LPNs backing file pages `pages` to `out` (cleared first).
+    fn lpns_into(&self, pages: std::ops::RangeInclusive<u64>, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(pages.map(|page| self.lpn_at(page).expect("page is within the file's capacity")));
+    }
+
     /// The LPN backing file page `index`, or `None` past the allocated capacity.
     pub fn lpn_at(&self, index: u64) -> Option<u64> {
         let mut remaining = index;
@@ -113,9 +119,15 @@ pub struct FlashStore<F: FlashTranslationLayer> {
     page_size: usize,
     io_depth: usize,
     clock: Nanos,
+    /// Page contents by LPN, written in place: a page's buffer is allocated
+    /// on its first write and reused by every later one.
     shadow: Vec<Option<Box<[u8]>>>,
     free: Vec<Extent>,
     io: StoreIoStats,
+    /// Reused per-call buffers: the LPNs an operation touches and one chunk
+    /// of requests.
+    lpns: Vec<u64>,
+    requests: Vec<IoRequest>,
 }
 
 impl<F: FlashTranslationLayer> FlashStore<F> {
@@ -132,6 +144,8 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             shadow: (0..logical_pages).map(|_| None).collect(),
             free: vec![Extent { start: SUPERBLOCK_LPN + 1, pages: logical_pages - 1 }],
             io: StoreIoStats::default(),
+            lpns: Vec::new(),
+            requests: Vec::new(),
         }
     }
 
@@ -302,8 +316,14 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         let completion = self.ftl.submit(IoRequest::write(Lpn(lpn), request_bytes))?;
         self.clock += completion.latency;
         self.io.pages_written += 1;
-        self.shadow[lpn as usize] = Some(data.into());
+        self.page_mut(lpn).copy_from_slice(data);
         Ok(())
+    }
+
+    /// The shadow buffer of `lpn`, allocated zeroed on the page's first write.
+    fn page_mut(&mut self, lpn: u64) -> &mut [u8] {
+        let page_size = self.page_size;
+        self.shadow[lpn as usize].get_or_insert_with(|| vec![0; page_size].into_boxed_slice())
     }
 
     /// Reads one page, charging the read (retry ladder included) to the clock.
@@ -327,33 +347,6 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         Ok(self.shadow[lpn as usize].as_deref().expect("is_written was checked above"))
     }
 
-    /// Programs a run of full pages, batching them at the configured queue
-    /// depth. At depth 1 this is exactly a loop of [`FlashStore::write_page`];
-    /// deeper, each group of up to `io_depth` pages is one
-    /// [`submit_batch`](FlashTranslationLayer::submit_batch) call and the
-    /// clock is charged its makespan.
-    fn write_pages(&mut self, pages: &[(u64, Vec<u8>)], request_bytes: u32) -> Result<(), KvError> {
-        if self.io_depth <= 1 {
-            for (lpn, buffer) in pages {
-                self.write_page(*lpn, buffer, request_bytes)?;
-            }
-            return Ok(());
-        }
-        for chunk in pages.chunks(self.io_depth) {
-            let requests: Vec<IoRequest> = chunk
-                .iter()
-                .map(|&(lpn, _)| IoRequest::write(Lpn(lpn), request_bytes))
-                .collect();
-            let batch = self.ftl.submit_batch(&requests)?;
-            self.clock += batch.makespan;
-            self.io.pages_written += chunk.len() as u64;
-            for (lpn, buffer) in chunk {
-                self.shadow[*lpn as usize] = Some(buffer.as_slice().into());
-            }
-        }
-        Ok(())
-    }
-
     /// Charges device time for reading every LPN in `lpns`, batching at the
     /// configured queue depth. The bytes themselves come from the shadow table
     /// afterwards — this pays for the traffic.
@@ -374,9 +367,11 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             }
             return Ok(());
         }
+        // Reused across calls; an error simply drops it.
+        let mut requests = std::mem::take(&mut self.requests);
         for chunk in lpns.chunks(self.io_depth) {
-            let requests: Vec<IoRequest> =
-                chunk.iter().map(|&lpn| IoRequest::read(Lpn(lpn))).collect();
+            requests.clear();
+            requests.extend(chunk.iter().map(|&lpn| IoRequest::read(Lpn(lpn))));
             let batch = self.ftl.submit_batch(&requests)?;
             self.clock += batch.makespan;
             self.io.pages_read += chunk.len() as u64;
@@ -386,6 +381,7 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
                 }
             }
         }
+        self.requests = requests;
         Ok(())
     }
 
@@ -402,11 +398,14 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         self.charge_reads(lpns)?;
         let mut out = Vec::with_capacity(lpns.len() * self.page_size);
         for &lpn in lpns {
-            out.extend_from_slice(
-                self.shadow[lpn as usize].as_deref().expect("charge_reads checked is_written"),
-            );
+            out.extend_from_slice(self.written(lpn));
         }
         Ok(out)
+    }
+
+    /// The shadow contents of a page that has been written.
+    fn written(&self, lpn: u64) -> &[u8] {
+        self.shadow[lpn as usize].as_deref().expect("reads check is_written before any traffic")
     }
 
     /// Appends `bytes` to `file`, allocating pages on demand and charging one
@@ -414,6 +413,14 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
     /// (same LPN), which models the WAL's torn-page overwrite cost faithfully:
     /// the old version of the page is invalidated and a fresh program pays for
     /// the new one.
+    ///
+    /// The programs go out at the configured queue depth: one scalar
+    /// `submit` per page at depth 1, otherwise batches of up to `io_depth`
+    /// pages, each charged its makespan. A page's shadow bytes are written in
+    /// place once its program succeeds: the kept prefix of a partial tail
+    /// page stays, the appended bytes follow, and zeros fill the rest of the
+    /// page. When a program fails, the pages of earlier batches keep their
+    /// new contents and the rest keep their old ones.
     ///
     /// # Errors
     ///
@@ -437,31 +444,46 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             file.extents.extend(grown);
         }
         let first_page = start / page_size;
-        let last_page = (end - 1) / page_size;
-        let mut pages = Vec::with_capacity((last_page - first_page + 1) as usize);
-        for page in first_page..=last_page {
-            let lpn = file.lpn_at(page).expect("capacity was grown above");
-            let mut buffer = vec![0u8; self.page_size];
-            let page_start = page * page_size;
-            // Preserve the already-appended prefix of a partial tail page. The
-            // bytes come from the shadow table without a device read: a real
-            // writer holds its tail page in a RAM buffer.
-            if page_start < start {
-                let existing = self.shadow[lpn as usize]
-                    .as_deref()
-                    .expect("partial tail page must have been written before");
-                let keep = (start - page_start) as usize;
-                buffer[..keep].copy_from_slice(&existing[..keep]);
+        // Reused across calls; an error simply drops them.
+        let mut lpns = std::mem::take(&mut self.lpns);
+        let mut requests = std::mem::take(&mut self.requests);
+        file.lpns_into(first_page..=(end - 1) / page_size, &mut lpns);
+        let depth = self.io_depth;
+        for (chunk_index, chunk) in lpns.chunks(depth).enumerate() {
+            self.clock += if depth == 1 {
+                self.ftl.submit(IoRequest::write(Lpn(chunk[0]), request_bytes))?.latency
+            } else {
+                requests.clear();
+                requests.extend(chunk.iter().map(|&lpn| IoRequest::write(Lpn(lpn), request_bytes)));
+                self.ftl.submit_batch(&requests)?.makespan
+            };
+            self.io.pages_written += chunk.len() as u64;
+            let chunk_first = first_page + (chunk_index * depth) as u64;
+            for (page, &lpn) in (chunk_first..).zip(chunk) {
+                self.fill_page(lpn, page * page_size, start, bytes);
             }
-            let copy_from = page_start.max(start);
-            let copy_to = (page_start + page_size).min(end);
-            buffer[(copy_from - page_start) as usize..(copy_to - page_start) as usize]
-                .copy_from_slice(&bytes[(copy_from - start) as usize..(copy_to - start) as usize]);
-            pages.push((lpn, buffer));
         }
-        self.write_pages(&pages, request_bytes)?;
+        self.lpns = lpns;
+        self.requests = requests;
         file.len = end;
         Ok(())
+    }
+
+    /// Writes the part of an append of `bytes` at file offset `start` that
+    /// falls in the file page beginning at `page_start` into the shadow of
+    /// `lpn`: bytes before the append stay, bytes after it become zero.
+    fn fill_page(&mut self, lpn: u64, page_start: u64, start: u64, bytes: &[u8]) {
+        let end = start + bytes.len() as u64;
+        let page_end = page_start + self.page_size as u64;
+        debug_assert!(
+            page_start >= start || self.is_written(lpn),
+            "a partial tail page must have been written before"
+        );
+        let (from, to) = (page_start.max(start), page_end.min(end));
+        let page = self.page_mut(lpn);
+        page[(from - page_start) as usize..(to - page_start) as usize]
+            .copy_from_slice(&bytes[(from - start) as usize..(to - start) as usize]);
+        page[(to - page_start) as usize..].fill(0);
     }
 
     /// Reserves capacity so the file spans at least `pages` pages (the WAL
@@ -490,8 +512,40 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, KvError> {
+        let mut out = Vec::with_capacity(len);
+        self.read_range_into(file, offset, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`FlashStore::read_range`] appending the bytes to `out` instead of
+    /// returning them.
+    pub(crate) fn read_range_into(
+        &mut self,
+        file: &SegmentFile,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), KvError> {
+        let lpns = self.charge_range(file, offset, len)?;
+        self.join_pages(&lpns, (offset % self.page_size as u64) as usize, len, out);
+        self.lpns = lpns;
+        Ok(())
+    }
+
+    /// Checks the range `[offset, offset + len)` against the file length and
+    /// charges its page reads. Returns the LPNs read, in file order, in the
+    /// store's reused LPN buffer, which the caller hands back (an error
+    /// simply drops it).
+    fn charge_range(
+        &mut self,
+        file: &SegmentFile,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u64>, KvError> {
+        let mut lpns = std::mem::take(&mut self.lpns);
+        lpns.clear();
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(lpns);
         }
         let end = offset + len as u64;
         if end > file.len {
@@ -501,22 +555,23 @@ impl<F: FlashTranslationLayer> FlashStore<F> {
             )));
         }
         let page_size = self.page_size as u64;
-        let pages: Vec<u64> = (offset / page_size..=(end - 1) / page_size).collect();
-        let lpns: Vec<u64> = pages
-            .iter()
-            .map(|&page| file.lpn_at(page).expect("range is within the file length"))
-            .collect();
+        file.lpns_into(offset / page_size..=(end - 1) / page_size, &mut lpns);
         self.charge_reads(&lpns)?;
-        let mut out = Vec::with_capacity(len);
-        for (&page, &lpn) in pages.iter().zip(&lpns) {
-            let data =
-                self.shadow[lpn as usize].as_deref().expect("charge_reads checked is_written");
-            let page_start = page * page_size;
-            let from = offset.max(page_start) - page_start;
-            let to = end.min(page_start + page_size) - page_start;
-            out.extend_from_slice(&data[from as usize..to as usize]);
+        Ok(lpns)
+    }
+
+    /// Appends `len` bytes that start `from` bytes into the first of `lpns`
+    /// and run on through the following pages.
+    fn join_pages(&self, lpns: &[u64], from: usize, len: usize, out: &mut Vec<u8>) {
+        let mut skip = from;
+        let mut left = len;
+        for &lpn in lpns {
+            let page = &self.written(lpn)[skip..];
+            let take = left.min(page.len());
+            out.extend_from_slice(&page[..take]);
+            left -= take;
+            skip = 0;
         }
-        Ok(out)
     }
 
     /// True once a superblock has been written (distinguishes a fresh device

@@ -39,6 +39,7 @@ mod error;
 mod flash_file;
 mod hash;
 mod memtable;
+mod merge;
 mod sstable;
 mod store;
 mod wal;
@@ -52,6 +53,6 @@ pub use sstable::{
 };
 pub use store::{
     KvConfig, KvPair, KvStats, KvStore, Lookup, LookupSource, TableLayout, WriteAmplification,
-    WriteReceipt,
+    WriteReceipt, MAX_KEY_BYTES,
 };
 pub use wal::{Wal, WalOp};

@@ -16,9 +16,12 @@
 //! index bucket — at the default interval that is one small `read_range` per
 //! probed table.
 
+use std::ops::Range;
+
 use crate::error::KvError;
 use crate::flash_file::{FlashStore, SegmentFile};
 use crate::hash::fnv1a;
+use crate::merge::Runs;
 use vflash_ftl::FlashTranslationLayer;
 
 /// Default sparse-index stride: every 16th entry lands in the sparse index
@@ -61,6 +64,14 @@ const FLAG_TOMBSTONE: u8 = 1;
 /// A table entry: a value or a tombstone.
 pub type Entry = (Vec<u8>, Option<Vec<u8>>);
 
+/// A borrowed [`Entry`].
+pub(crate) type EntryRef<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// Encoded data-section size of one entry: the 7-byte header, key and value.
+pub(crate) fn encoded_len(key: &[u8], value: Option<&[u8]>) -> usize {
+    7 + key.len() + value.map_or(0, <[u8]>::len)
+}
+
 /// A table's answer for one key: `Some(Some(value))` for a put, `Some(None)`
 /// for a tombstone, `None` when the table does not hold the key.
 pub type TableValue = Option<Option<Vec<u8>>>;
@@ -83,35 +94,32 @@ impl BloomFilter {
     /// hashes — at least one.
     pub fn with_bits_per_key(keys: usize, bits_per_key: usize) -> Self {
         let bits = (keys * bits_per_key).max(64);
-        let hashes = ((bits_per_key as u32 * 693) / 1000).max(1);
-        BloomFilter { words: vec![0; bits.div_ceil(64)], hashes }
+        let hashes = u32::try_from(bits_per_key.saturating_mul(693) / 1000).unwrap_or(u32::MAX);
+        BloomFilter { words: vec![0; bits.div_ceil(64)], hashes: hashes.max(1) }
     }
 
-    fn bits(&self) -> u64 {
-        self.words.len() as u64 * 64
-    }
-
-    fn probe(&self, key: &[u8], i: u32) -> (usize, u64) {
+    /// The `(word, mask)` of every probe for `key`: double hashing over the
+    /// key's two FNV hashes, each computed once.
+    fn probes(&self, key: &[u8]) -> impl Iterator<Item = (usize, u64)> {
         let h1 = fnv1a(key, 0x51_73);
         let h2 = fnv1a(key, 0xB1_00) | 1;
-        let bit = h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.bits();
-        ((bit / 64) as usize, 1u64 << (bit % 64))
+        let bits = self.words.len() as u64 * 64;
+        (0..self.hashes).map(move |i| {
+            let bit = h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % bits;
+            ((bit / 64) as usize, 1u64 << (bit % 64))
+        })
     }
 
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        for i in 0..self.hashes {
-            let (word, mask) = self.probe(key, i);
+        for (word, mask) in self.probes(key) {
             self.words[word] |= mask;
         }
     }
 
     /// True when the key *may* be present; false means definitely absent.
     pub fn contains(&self, key: &[u8]) -> bool {
-        (0..self.hashes).all(|i| {
-            let (word, mask) = self.probe(key, i);
-            self.words[word] & mask != 0
-        })
+        self.probes(key).all(|(word, mask)| self.words[word] & mask != 0)
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -199,39 +207,53 @@ impl TableHandle {
         entries: &[Entry],
         options: TableOptions,
     ) -> Result<TableHandle, KvError> {
+        let entries: Vec<EntryRef<'_>> =
+            entries.iter().map(|(key, value)| (key.as_slice(), value.as_deref())).collect();
+        TableHandle::build_from(store, id, &entries, options)
+    }
+
+    /// [`TableHandle::build`] from borrowed entries (a compaction's merge
+    /// output points into its input buffer).
+    pub(crate) fn build_from<F: FlashTranslationLayer>(
+        store: &mut FlashStore<F>,
+        id: u64,
+        entries: &[EntryRef<'_>],
+        options: TableOptions,
+    ) -> Result<TableHandle, KvError> {
         assert!(!entries.is_empty(), "tables are never built empty");
-        assert!(options.sparse_index_interval >= 1, "the sparse-index stride is at least 1");
+        let stride = options.sparse_index_interval;
+        assert!(stride >= 1, "the sparse-index stride is at least 1");
         debug_assert!(entries.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        let mut data = Vec::new();
-        let mut index = Vec::new();
+        let data_len: usize = entries.iter().map(|&(key, value)| encoded_len(key, value)).sum();
+        let index_len: usize =
+            4 + entries.iter().step_by(stride).map(|(key, _)| 10 + key.len()).sum::<usize>();
         let mut bloom = BloomFilter::with_bits_per_key(entries.len(), options.bloom_bits_per_key);
-        for (position, (key, value)) in entries.iter().enumerate() {
-            if position % options.sparse_index_interval == 0 {
-                index.push((key.clone(), data.len() as u64));
+        let mut bytes = Vec::with_capacity(data_len + index_len + 8 + 8 * bloom.words.len());
+        let mut index = Vec::with_capacity(entries.len().div_ceil(stride));
+        for (position, &(key, value)) in entries.iter().enumerate() {
+            if position % stride == 0 {
+                index.push((key.to_vec(), bytes.len() as u64));
             }
             bloom.insert(key);
-            data.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            data.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
-            data.extend_from_slice(&(value.as_ref().map_or(0, Vec::len) as u32).to_le_bytes());
-            data.extend_from_slice(key);
-            if let Some(value) = value {
-                data.extend_from_slice(value);
-            }
+            bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            bytes.push(if value.is_some() { FLAG_VALUE } else { FLAG_TOMBSTONE });
+            bytes.extend_from_slice(&(value.map_or(0, <[u8]>::len) as u32).to_le_bytes());
+            bytes.extend_from_slice(key);
+            bytes.extend_from_slice(value.unwrap_or_default());
         }
-        let data_len = data.len() as u64;
+        let data_len = bytes.len() as u64;
         let index_off = data_len;
-        let mut file_bytes = data;
-        file_bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
         for (key, offset) in &index {
-            file_bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            file_bytes.extend_from_slice(&offset.to_le_bytes());
-            file_bytes.extend_from_slice(key);
+            bytes.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            bytes.extend_from_slice(&offset.to_le_bytes());
+            bytes.extend_from_slice(key);
         }
-        let bloom_off = file_bytes.len() as u64;
-        bloom.encode(&mut file_bytes);
+        let bloom_off = bytes.len() as u64;
+        bloom.encode(&mut bytes);
         let mut file = SegmentFile::new();
-        let request_bytes = u32::try_from(file_bytes.len()).unwrap_or(u32::MAX);
-        store.append(&mut file, &file_bytes, request_bytes)?;
+        let request_bytes = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
+        store.append(&mut file, &bytes, request_bytes)?;
         let meta = TableMeta {
             id,
             file,
@@ -239,8 +261,8 @@ impl TableHandle {
             data_len,
             index_off,
             bloom_off,
-            min_key: entries.first().expect("non-empty").0.clone(),
-            max_key: entries.last().expect("non-empty").0.clone(),
+            min_key: entries[0].0.to_vec(),
+            max_key: entries[entries.len() - 1].0.to_vec(),
         };
         Ok(TableHandle { meta, index, bloom })
     }
@@ -313,6 +335,17 @@ impl TableHandle {
         store: &mut FlashStore<F>,
         key: &[u8],
     ) -> Result<(TableValue, TableProbe), KvError> {
+        self.get_with(store, key, &mut Vec::new())
+    }
+
+    /// [`TableHandle::get`] reading the bucket into `buf`, a buffer the caller
+    /// reuses across lookups (its contents are replaced).
+    pub(crate) fn get_with<F: FlashTranslationLayer>(
+        &self,
+        store: &mut FlashStore<F>,
+        key: &[u8],
+        buf: &mut Vec<u8>,
+    ) -> Result<(TableValue, TableProbe), KvError> {
         if key < self.meta.min_key.as_slice() || key > self.meta.max_key.as_slice() {
             return Ok((None, TableProbe::RangeSkip));
         }
@@ -322,16 +355,18 @@ impl TableHandle {
         let Some((start, end)) = self.bucket_for(key) else {
             return Ok((None, TableProbe::Read));
         };
-        let bytes = store.read_range(&self.meta.file, start, (end - start) as usize)?;
+        buf.clear();
+        store.read_range_into(&self.meta.file, start, (end - start) as usize, buf)?;
         let mut at = 0usize;
-        while let Some(((entry_key, value), consumed)) = decode_entry(&bytes, at)? {
+        while let Some(entry) = decode_entry(buf, at)? {
+            let entry_key = &buf[entry.key.clone()];
             if entry_key == key {
-                return Ok((Some(value), TableProbe::Read));
+                return Ok((Some(entry.value_in(buf)), TableProbe::Read));
             }
-            if entry_key.as_slice() > key {
+            if entry_key > key {
                 break;
             }
-            at += consumed;
+            at = entry.end;
         }
         Ok((None, TableProbe::Read))
     }
@@ -347,13 +382,48 @@ impl TableHandle {
         store: &mut FlashStore<F>,
     ) -> Result<Vec<Entry>, KvError> {
         let bytes = store.read_range(&self.meta.file, 0, self.meta.data_len as usize)?;
-        let mut out = Vec::with_capacity(self.meta.entries as usize);
+        let mut entries = Vec::with_capacity(self.meta.entries as usize);
         let mut at = 0usize;
-        while let Some(((key, value), consumed)) = decode_entry(&bytes, at)? {
-            out.push((key, value));
-            at += consumed;
+        while let Some(entry) = decode_entry(&bytes, at)? {
+            at = entry.end;
+            entries.push((bytes[entry.key.clone()].to_vec(), entry.value_in(&bytes)));
         }
-        Ok(out)
+        Ok(entries)
+    }
+
+    /// Appends every entry of the table, in key order, to the current run of
+    /// `runs` (the data section is read straight into the arena).
+    pub(crate) fn entries_into<F: FlashTranslationLayer>(
+        &self,
+        store: &mut FlashStore<F>,
+        runs: &mut Runs,
+    ) -> Result<(), KvError> {
+        let mut at = runs.bytes().len();
+        store.read_range_into(&self.meta.file, 0, self.meta.data_len as usize, runs.bytes_mut())?;
+        while let Some(entry) = decode_entry(runs.bytes(), at)? {
+            at = entry.end;
+            runs.push_span(entry.key, entry.value);
+        }
+        Ok(())
+    }
+
+    /// The data offsets of the index buckets a scan of `[lo, hi)` reads, in
+    /// order, from the first bucket that can hold `lo` to the end of the data
+    /// section (the scan stops early once a key reaches `hi`). Empty when the
+    /// range misses the table.
+    fn scan_buckets(&self, lo: &[u8], hi: &[u8]) -> impl Iterator<Item = Range<u64>> + '_ {
+        let misses =
+            lo >= hi || hi <= self.meta.min_key.as_slice() || lo > self.meta.max_key.as_slice();
+        let first = if misses {
+            self.index.len()
+        } else {
+            // The bucket `bucket_for(lo)` finds, or the first one.
+            self.index.partition_point(|(index_key, _)| index_key.as_slice() <= lo).saturating_sub(1)
+        };
+        (first..self.index.len()).map(|bucket| {
+            let end = self.index.get(bucket + 1).map_or(self.meta.data_len, |(_, next)| *next);
+            self.index[bucket].1..end
+        })
     }
 
     /// Entries with keys in `[lo, hi)`, reading index buckets lazily from the
@@ -368,40 +438,74 @@ impl TableHandle {
         lo: &[u8],
         hi: &[u8],
     ) -> Result<Vec<Entry>, KvError> {
-        if lo >= hi || hi <= self.meta.min_key.as_slice() || lo > self.meta.max_key.as_slice() {
-            return Ok(Vec::new());
-        }
-        let start = self.bucket_for(lo).map_or(0, |(start, _)| start);
-        let mut out = Vec::new();
-        let mut bucket = self.index.partition_point(|(_, offset)| *offset < start);
-        debug_assert!(self.index.get(bucket).is_none_or(|(_, offset)| *offset == start));
-        let mut offset = start;
-        'buckets: while offset < self.meta.data_len {
-            let end = self
-                .index
-                .get(bucket + 1)
-                .map_or(self.meta.data_len, |(_, next)| *next);
-            let bytes = store.read_range(&self.meta.file, offset, (end - offset) as usize)?;
+        let mut entries = Vec::new();
+        let mut bytes = Vec::new();
+        for bucket in self.scan_buckets(lo, hi) {
+            bytes.clear();
+            let len = (bucket.end - bucket.start) as usize;
+            store.read_range_into(&self.meta.file, bucket.start, len, &mut bytes)?;
             let mut at = 0usize;
-            while let Some(((key, value), consumed)) = decode_entry(&bytes, at)? {
-                at += consumed;
-                if key.as_slice() >= hi {
-                    break 'buckets;
+            while let Some(entry) = decode_entry(&bytes, at)? {
+                at = entry.end;
+                let key = &bytes[entry.key.clone()];
+                if key >= hi {
+                    return Ok(entries);
                 }
-                if key.as_slice() >= lo {
-                    out.push((key, value));
+                if key >= lo {
+                    entries.push((key.to_vec(), entry.value_in(&bytes)));
                 }
             }
-            offset = end;
-            bucket += 1;
         }
-        Ok(out)
+        Ok(entries)
+    }
+
+    /// [`TableHandle::scan_range`] appending the entries to the current run of
+    /// `runs`: each bucket is read straight into the arena.
+    pub(crate) fn scan_into<F: FlashTranslationLayer>(
+        &self,
+        store: &mut FlashStore<F>,
+        lo: &[u8],
+        hi: &[u8],
+        runs: &mut Runs,
+    ) -> Result<(), KvError> {
+        for bucket in self.scan_buckets(lo, hi) {
+            let mut at = runs.bytes().len();
+            let len = (bucket.end - bucket.start) as usize;
+            store.read_range_into(&self.meta.file, bucket.start, len, runs.bytes_mut())?;
+            while let Some(entry) = decode_entry(runs.bytes(), at)? {
+                at = entry.end;
+                let key = &runs.bytes()[entry.key.clone()];
+                if key >= hi {
+                    return Ok(());
+                }
+                if key >= lo {
+                    runs.push_span(entry.key, entry.value);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where one data-section entry lies in its buffer.
+struct EntrySpan {
+    key: Range<usize>,
+    /// `None` for a tombstone.
+    value: Option<Range<usize>>,
+    /// The offset just past the entry.
+    end: usize,
+}
+
+impl EntrySpan {
+    /// The entry's value copied out of `bytes` (`None` for a tombstone).
+    fn value_in(&self, bytes: &[u8]) -> Option<Vec<u8>> {
+        self.value.clone().map(|value| bytes[value].to_vec())
     }
 }
 
 /// Decodes the data-section entry at `bytes[at..]`; `Ok(None)` at the exact end
 /// of the buffer.
-fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(Entry, usize)>, KvError> {
+fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<EntrySpan>, KvError> {
     if at == bytes.len() {
         return Ok(None);
     }
@@ -417,10 +521,9 @@ fn decode_entry(bytes: &[u8], at: usize) -> Result<Option<(Entry, usize)>, KvErr
     if rest.len() < total || (flag == FLAG_TOMBSTONE && vlen != 0) || flag > FLAG_TOMBSTONE {
         return Err(corrupt());
     }
-    let key = rest[7..7 + klen].to_vec();
-    let value =
-        (flag == FLAG_VALUE).then(|| rest[7 + klen..total].to_vec());
-    Ok(Some(((key, value), total)))
+    let key = at + 7..at + 7 + klen;
+    let value = (flag == FLAG_VALUE).then(|| key.end..at + total);
+    Ok(Some(EntrySpan { key, value, end: at + total }))
 }
 
 #[cfg(test)]

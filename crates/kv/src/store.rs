@@ -18,8 +18,6 @@
 //! WAL's epoch check replays exactly the committed operations since the last
 //! flush.
 
-use std::collections::BTreeMap;
-
 use vflash_ftl::FlashTranslationLayer;
 use vflash_nand::Nanos;
 
@@ -27,7 +25,8 @@ use crate::error::KvError;
 use crate::flash_file::{Extent, FlashStore, SegmentFile};
 use crate::hash::fnv1a;
 use crate::memtable::Memtable;
-use crate::sstable::{Entry, TableHandle, TableMeta, TableOptions, TableProbe};
+use crate::merge::Runs;
+use crate::sstable::{encoded_len, EntryRef, TableHandle, TableMeta, TableOptions, TableProbe};
 use crate::wal::{Wal, WalOp};
 
 const MANIFEST_MAGIC: u64 = 0x564b_4d41_4e49_4631; // "VKMANIF1"
@@ -58,7 +57,8 @@ pub struct KvConfig {
     /// [`submit_batch`](vflash_ftl::FlashTranslationLayer::submit_batch) call
     /// and are charged the chip-parallel makespan instead of the serial sum.
     pub io_depth: usize,
-    /// Bloom filter budget in bits per key for freshly built tables.
+    /// Bloom filter budget in bits per key for freshly built tables, from 1
+    /// to [`KvConfig::MAX_BLOOM_BITS_PER_KEY`].
     pub bloom_bits_per_key: usize,
     /// Sparse-index stride for freshly built tables: every n-th entry is
     /// indexed. Stride 1 indexes every entry.
@@ -83,17 +83,34 @@ impl Default for KvConfig {
 }
 
 impl KvConfig {
-    /// Panics when a knob is out of its sane range (misconfiguration is a
-    /// programming error, not a runtime condition).
-    pub fn validate(&self) {
-        assert!(self.memtable_bytes > 0, "memtable_bytes must be positive");
-        assert!(self.l0_compaction_trigger >= 2, "l0_compaction_trigger must be at least 2");
-        assert!(self.level_base_bytes > 0, "level_base_bytes must be positive");
-        assert!(self.level_size_multiplier >= 2, "level_size_multiplier must be at least 2");
-        assert!(self.target_table_bytes > 0, "target_table_bytes must be positive");
-        assert!(self.io_depth >= 1, "io_depth must be at least 1");
-        assert!(self.bloom_bits_per_key >= 1, "bloom_bits_per_key must be at least 1");
-        assert!(self.sparse_index_interval >= 1, "sparse_index_interval must be at least 1");
+    /// The largest accepted [`KvConfig::bloom_bits_per_key`]. At 64 bits per
+    /// key (44 probes) the false-positive rate is already about 0.6185^64 ≈
+    /// 5e-14; more bits only grow the bloom section and the probe count.
+    pub const MAX_BLOOM_BITS_PER_KEY: usize = 64;
+
+    /// Checks every knob against its sane range.
+    ///
+    /// # Errors
+    ///
+    /// [`KvError::InvalidConfig`] naming the first knob out of range.
+    pub fn validate(&self) -> Result<(), KvError> {
+        let checks = [
+            (self.memtable_bytes > 0, "memtable_bytes must be positive"),
+            (self.l0_compaction_trigger >= 2, "l0_compaction_trigger must be at least 2"),
+            (self.level_base_bytes > 0, "level_base_bytes must be positive"),
+            (self.level_size_multiplier >= 2, "level_size_multiplier must be at least 2"),
+            (self.target_table_bytes > 0, "target_table_bytes must be positive"),
+            (self.io_depth >= 1, "io_depth must be at least 1"),
+            (
+                (1..=Self::MAX_BLOOM_BITS_PER_KEY).contains(&self.bloom_bits_per_key),
+                "bloom_bits_per_key must be between 1 and 64",
+            ),
+            (self.sparse_index_interval >= 1, "sparse_index_interval must be at least 1"),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, reason)) => Err(KvError::InvalidConfig(reason)),
+            None => Ok(()),
+        }
     }
 
     /// The table-construction knobs carried by this configuration.
@@ -109,7 +126,7 @@ impl KvConfig {
         if self.wal_pages > 0 {
             self.wal_pages
         } else {
-            (4 * self.memtable_bytes as u64).div_ceil(page_size as u64).max(4)
+            (self.memtable_bytes as u64).saturating_mul(4).div_ceil(page_size as u64).max(4)
         }
     }
 }
@@ -234,6 +251,10 @@ pub struct KvStore<F: FlashTranslationLayer> {
     /// manifest pointing at overwritten pages.
     pending_free: Vec<Extent>,
     stats: KvStats,
+    /// Buffers reused by every lookup: the merge arena of a scan and the
+    /// bucket a point get reads.
+    runs: Runs,
+    bucket: Vec<u8>,
 }
 
 impl<F: FlashTranslationLayer> KvStore<F> {
@@ -243,9 +264,11 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// # Errors
     ///
-    /// Allocation, I/O and decode errors pass through.
+    /// [`KvError::InvalidConfig`] for a configuration that fails
+    /// [`KvConfig::validate`], before any device traffic; allocation, I/O and
+    /// decode errors pass through.
     pub fn open(mut store: FlashStore<F>, config: KvConfig) -> Result<Self, KvError> {
-        config.validate();
+        config.validate()?;
         // Recovery scans (manifest, index/bloom sections, WAL prefix) batch at
         // the configured depth too, so set it before touching the device.
         store.set_io_depth(config.io_depth);
@@ -270,6 +293,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             next_table_id: 1,
             pending_free: Vec::new(),
             stats: KvStats::default(),
+            runs: Runs::default(),
+            bucket: Vec::new(),
         };
         kv.write_manifest()?;
         Ok(kv)
@@ -334,6 +359,8 @@ impl<F: FlashTranslationLayer> KvStore<F> {
             next_table_id: manifest.next_table_id,
             pending_free: Vec::new(),
             stats: KvStats::default(),
+            runs: Runs::default(),
+            bucket: Vec::new(),
         })
     }
 
@@ -341,9 +368,12 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// # Errors
     ///
-    /// [`KvError::ReadOnly`] once the device is worn out, [`KvError::OutOfSpace`]
-    /// when neither the WAL nor a flush can make room; I/O errors pass through.
+    /// [`KvError::KeyTooLong`] for a key over [`MAX_KEY_BYTES`], before any
+    /// device traffic; [`KvError::ReadOnly`] once the device is worn out,
+    /// [`KvError::OutOfSpace`] when neither the WAL nor a flush can make room;
+    /// I/O errors pass through.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<WriteReceipt, KvError> {
+        check_key(key)?;
         self.stats.puts += 1;
         self.write_op(WalOp::Put { key: key.to_vec(), value: value.to_vec() })
     }
@@ -354,6 +384,7 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     ///
     /// As for [`KvStore::put`].
     pub fn delete(&mut self, key: &[u8]) -> Result<WriteReceipt, KvError> {
+        check_key(key)?;
         self.stats.deletes += 1;
         self.write_op(WalOp::Delete { key: key.to_vec() })
     }
@@ -410,12 +441,18 @@ impl<F: FlashTranslationLayer> KvStore<F> {
                 time: self.store.clock() - start,
             });
         }
-        let KvStore { store, levels, stats, .. } = self;
-        // L0 newest table first, then each deeper level (at most one candidate
-        // per sorted run; the range check skips the rest for free).
-        for run in levels.iter() {
-            for table in run {
-                let (found, probe) = table.get(store, key)?;
+        let KvStore { store, levels, stats, bucket, .. } = self;
+        // L0 newest table first, then each deeper level, where only the first
+        // table whose largest key is not below `key` can hold it.
+        for (level, run) in levels.iter().enumerate() {
+            let candidates = if level == 0 {
+                &run[..]
+            } else {
+                let at = run.partition_point(|table| table.meta.max_key.as_slice() < key);
+                &run[at..run.len().min(at + 1)]
+            };
+            for table in candidates {
+                let (found, probe) = table.get_with(store, key, bucket)?;
                 match probe {
                     TableProbe::BloomSkip => stats.bloom_skips += 1,
                     TableProbe::Read => stats.table_reads += 1,
@@ -441,34 +478,44 @@ impl<F: FlashTranslationLayer> KvStore<F> {
 
     /// Returns every live key/value pair with key in `[lo, hi)`, in key order.
     /// Tombstones and shadowed versions are resolved; deleted keys do not
-    /// appear.
+    /// appear. An empty or inverted range returns nothing.
+    ///
+    /// Every source is already sorted, so the sources are read in order —
+    /// deepest level (one run per level) to the newest L0 table, then the
+    /// memtable — and merged k-way, newest source winning, with no
+    /// per-version copies.
     ///
     /// # Errors
     ///
     /// Read and decode errors pass through.
     pub fn scan(&mut self, lo: &[u8], hi: &[u8]) -> Result<Vec<KvPair>, KvError> {
         self.stats.scans += 1;
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        let KvStore { store, levels, memtable, .. } = self;
-        // Deepest (oldest) data first; newer layers overwrite on insert.
-        for run in levels.iter().skip(1).rev() {
-            for table in run {
-                for (key, value) in table.scan_range(store, lo, hi)? {
-                    merged.insert(key, value);
-                }
+        if lo >= hi {
+            return Ok(Vec::new());
+        }
+        let KvStore { store, levels, memtable, runs, .. } = self;
+        runs.clear();
+        for level in levels.iter().skip(1).rev() {
+            runs.begin_run();
+            let first = level.partition_point(|table| table.meta.max_key.as_slice() < lo);
+            for table in level[first..].iter().take_while(|table| table.meta.min_key.as_slice() < hi) {
+                table.scan_into(store, lo, hi, runs)?;
             }
         }
         if let Some(l0) = levels.first() {
             for table in l0.iter().rev() {
-                for (key, value) in table.scan_range(store, lo, hi)? {
-                    merged.insert(key, value);
-                }
+                runs.begin_run();
+                table.scan_into(store, lo, hi, runs)?;
             }
         }
+        runs.begin_run();
         for (key, value) in memtable.range(lo, hi) {
-            merged.insert(key.clone(), value.clone());
+            runs.push(key, value.as_deref());
         }
-        Ok(merged.into_iter().filter_map(|(key, value)| value.map(|v| (key, v))).collect())
+        let merged = runs.merge();
+        let mut live = Vec::with_capacity(merged.len());
+        live.extend(merged.filter_map(|(key, value)| Some((key.to_vec(), value?.to_vec()))));
+        Ok(live)
     }
 
     /// Flushes the memtable to a new L0 table, runs any due compactions and
@@ -541,30 +588,55 @@ impl<F: FlashTranslationLayer> KvStore<F> {
         }
         let sources = std::mem::take(&mut self.levels[level]);
         let targets = std::mem::take(&mut self.levels[level + 1]);
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        // The targets are one sorted run, the oldest. Sources are read oldest
+        // first (L0 is newest-first), one run each, so the newest version
+        // wins the merge; the tables of a deeper source level do not overlap
+        // and are joined into one run. The arena lives only as long as the
+        // compaction.
+        let mut runs = Runs::default();
+        let inputs = || targets.iter().chain(&sources).map(|table| &table.meta);
+        let input_bytes = inputs().map(|meta| meta.data_len as usize).sum::<usize>();
+        let input_entries = inputs().map(|meta| meta.entries as usize).sum::<usize>();
+        // Every entry encodes to at least 7 bytes.
+        runs.reserve(input_bytes, input_entries.min(input_bytes / 7));
+        runs.begin_run();
         for table in &targets {
-            for (key, value) in table.entries(&mut self.store)? {
-                merged.insert(key, value);
-            }
+            table.entries_into(&mut self.store, &mut runs)?;
         }
-        // L0 is newest-first; feed oldest first so the newest version wins.
+        let first_source = runs.run_count();
         for table in sources.iter().rev() {
-            for (key, value) in table.entries(&mut self.store)? {
-                merged.insert(key, value);
-            }
+            runs.begin_run();
+            table.entries_into(&mut self.store, &mut runs)?;
+        }
+        if level > 0 {
+            runs.join_descending(first_source);
         }
         // Tombstones are dropped once the output is the bottom of the tree —
         // nothing older exists for them to shadow.
         let bottom = self.levels.iter().skip(level + 2).all(Vec::is_empty);
-        let entries: Vec<Entry> = merged
-            .into_iter()
-            .filter(|(_, value)| !(bottom && value.is_none()))
-            .collect();
         let mut run = Vec::new();
-        for chunk in split_for_tables(&entries, self.config.target_table_bytes) {
-            let id = self.next_table_id;
-            self.next_table_id += 1;
-            run.push(TableHandle::build(&mut self.store, id, chunk, self.config.table_options())?);
+        let mut entries =
+            runs.merge().filter(|(_, value)| !(bottom && value.is_none())).peekable();
+        // Output tables are cut where the next entry would take the data
+        // section past `target_table_bytes` (a table always takes at least
+        // one entry).
+        let target = self.config.target_table_bytes;
+        let mut chunk: Vec<EntryRef<'_>> = Vec::new();
+        let mut chunk_bytes = 0u64;
+        while let Some((key, value)) = entries.next() {
+            chunk_bytes += encoded_len(key, value) as u64;
+            chunk.push((key, value));
+            let full = entries
+                .peek()
+                .is_none_or(|&(key, value)| chunk_bytes + encoded_len(key, value) as u64 > target);
+            if full {
+                let id = self.next_table_id;
+                self.next_table_id += 1;
+                let options = self.config.table_options();
+                run.push(TableHandle::build_from(&mut self.store, id, &chunk, options)?);
+                chunk.clear();
+                chunk_bytes = 0;
+            }
         }
         self.levels[level + 1] = run;
         for table in sources.into_iter().chain(targets) {
@@ -690,26 +762,15 @@ impl<F: FlashTranslationLayer> KvStore<F> {
     }
 }
 
-/// Splits a sorted entry list into consecutive chunks whose encoded
-/// data-section size stays at or under `target` bytes (a chunk always takes at
-/// least one entry).
-fn split_for_tables(entries: &[Entry], target: u64) -> Vec<&[Entry]> {
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    let mut bytes = 0u64;
-    for (position, (key, value)) in entries.iter().enumerate() {
-        let encoded = 7 + key.len() as u64 + value.as_ref().map_or(0, Vec::len) as u64;
-        if bytes > 0 && bytes + encoded > target {
-            chunks.push(&entries[start..position]);
-            start = position;
-            bytes = 0;
-        }
-        bytes += encoded;
+/// The longest key a store accepts: the WAL, table and manifest formats all
+/// store a key's length in two bytes.
+pub const MAX_KEY_BYTES: usize = u16::MAX as usize;
+
+fn check_key(key: &[u8]) -> Result<(), KvError> {
+    if key.len() > MAX_KEY_BYTES {
+        return Err(KvError::KeyTooLong { len: key.len() });
     }
-    if start < entries.len() {
-        chunks.push(&entries[start..]);
-    }
-    chunks
+    Ok(())
 }
 
 fn put_extents(out: &mut Vec<u8>, extents: &[Extent]) {
@@ -844,6 +905,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use vflash_ftl::{ConventionalFtl, FtlConfig};
     use vflash_nand::{NandConfig, NandDevice};
 
@@ -917,6 +979,47 @@ mod tests {
                 assert!(pair[0].meta.max_key < pair[1].meta.min_key);
             }
         }
+    }
+
+    #[test]
+    fn compacting_a_level_of_many_tables_merges_it_as_one_run() {
+        // Tiny output tables and an L1 that never fills on its own, so L1
+        // collects many tables before it is compacted by hand.
+        let config = KvConfig {
+            memtable_bytes: 2 << 10,
+            level_base_bytes: 1 << 30,
+            target_table_bytes: 256,
+            ..KvConfig::default()
+        };
+        let mut kv = KvStore::open(flash(), config).unwrap();
+        let mut model = BTreeMap::new();
+        for round in 0..2u32 {
+            for i in 0..1000u32 {
+                if round == 1 && i % 5 == 0 {
+                    kv.delete(&key(i)).unwrap();
+                    model.remove(&key(i));
+                } else {
+                    let value = format!("round-{round}-{i}").into_bytes();
+                    kv.put(&key(i), &value).unwrap();
+                    model.insert(key(i), value);
+                }
+            }
+            kv.flush().unwrap();
+            while !kv.levels[0].is_empty() {
+                kv.compact_level(0).unwrap();
+            }
+            assert!(kv.levels[1].len() >= 64, "L1 holds {} tables", kv.levels[1].len());
+            kv.compact_level(1).unwrap();
+            assert!(kv.levels[1].is_empty());
+        }
+        for pair in kv.levels[2].windows(2) {
+            assert!(pair[0].meta.max_key < pair[1].meta.min_key);
+        }
+        for i in 0..1000u32 {
+            assert_eq!(kv.get(&key(i)).unwrap().value.as_ref(), model.get(&key(i)));
+        }
+        let expected: Vec<KvPair> = model.into_iter().collect();
+        assert_eq!(kv.scan(b"", b"~").unwrap(), expected);
     }
 
     #[test]

@@ -47,22 +47,22 @@ const HEADER_BYTES: usize = 11;
 /// Trailing FNV-64 checksum.
 const CHECKSUM_BYTES: usize = 8;
 
-/// Serializes one record: header, key, value, checksum over everything before
-/// the checksum.
-fn encode(epoch: u32, op: &WalOp) -> Vec<u8> {
+/// Serializes one record into `out` (cleared first): header, key, value,
+/// checksum over everything before the checksum.
+fn encode_into(epoch: u32, op: &WalOp, out: &mut Vec<u8>) {
     let (kind, key, value): (u8, &[u8], &[u8]) = match op {
         WalOp::Put { key, value } => (KIND_PUT, key, value),
         WalOp::Delete { key } => (KIND_DELETE, key, &[]),
     };
-    let mut out = Vec::with_capacity(HEADER_BYTES + key.len() + value.len() + CHECKSUM_BYTES);
+    out.clear();
     out.extend_from_slice(&epoch.to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
     out.extend_from_slice(&(value.len() as u32).to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
-    out.extend_from_slice(&fnv1a(&out, 0).to_le_bytes());
-    out
+    let checksum = fnv1a(out, 0);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Decodes the record at `bytes[at..]`. Returns `None` when the bytes are not a
@@ -105,12 +105,14 @@ fn decode(bytes: &[u8], at: usize, epoch: u32) -> Option<(WalOp, usize)> {
 pub struct Wal {
     file: SegmentFile,
     epoch: u32,
+    /// The record being appended, reused across appends.
+    record: Vec<u8>,
 }
 
 impl Wal {
     /// Wraps a (pre-reserved) region at `epoch`.
     pub fn new(file: SegmentFile, epoch: u32) -> Self {
-        Wal { file, epoch }
+        Wal { file, epoch, record: Vec::new() }
     }
 
     /// The current epoch (persisted in the manifest).
@@ -155,9 +157,9 @@ impl Wal {
         if self.would_overflow(op, store.page_size()) {
             return Err(KvError::OutOfSpace);
         }
-        let record = encode(self.epoch, op);
-        let request_bytes = record.len() as u32;
-        store.append(&mut self.file, &record, request_bytes)
+        encode_into(self.epoch, op, &mut self.record);
+        let request_bytes = self.record.len() as u32;
+        store.append(&mut self.file, &self.record, request_bytes)
     }
 
     /// Rewinds the region and bumps the epoch (the post-flush reset). Old
@@ -214,6 +216,12 @@ mod tests {
     fn store() -> FlashStore<ConventionalFtl> {
         let device = NandDevice::new(NandConfig::small());
         FlashStore::new(ConventionalFtl::new(device, FtlConfig::default()).unwrap())
+    }
+
+    fn encode(epoch: u32, op: &WalOp) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_into(epoch, op, &mut out);
+        out
     }
 
     fn region(store: &mut FlashStore<ConventionalFtl>, pages: u64) -> SegmentFile {
